@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
+.PHONY: build test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode fuzz-normalize search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -12,8 +12,8 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own invariant analyzers (internal/analysis, driven by the
-# fifth binary): determinism, maporder, noperturb, ctxflow, faultalloc,
-# lockcheck, errflow, goleak, hotalloc, unusedignore. Exits 1 on any
+# fifth binary): determinism, maporder, noperturb, ctxflow, lockcheck,
+# errflow, goleak, hotalloc, unusedignore. Exits 1 on any
 # finding, so a stray time.Now or unsorted map range fails the gate
 # before a parity test has to bisect it.
 #
@@ -90,6 +90,11 @@ bench-sweep:
 # which CI persists across runs.
 fuzz-decode:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/isa
+
+# The request-canonicalization fuzzer on the same budget: Normalize
+# never panics, rejects negative fields, and is a fixpoint.
+fuzz-normalize:
+	$(GO) test -run '^$$' -fuzz FuzzNormalize -fuzztime 30s ./internal/service
 
 # A ~2s slice of the attack-variant search (differential fuzzing of the
 # speculation model): generates, diffs, classifies, and minimizes at a

@@ -6,21 +6,10 @@
 //
 //	phantom <experiment> [flags]
 //
-// Experiments:
-//
-//	table1       training×victim misprediction matrix (Table 1)
-//	fig6         speculative-decode page-offset sweep (Figure 6)
-//	fig7         cross-privilege BTB function recovery (Figure 7)
-//	covert       fetch and execute covert channels (Table 2)
-//	kaslr        kernel image KASLR derandomization (Table 3)
-//	physmap      physmap KASLR derandomization (Table 4)
-//	physaddr     physical address of an attacker page (Table 5)
-//	mds          MDS-gadget kernel memory leak (Section 7.4)
-//	mitigations  SuppressBPOnNonBr / AutoIBRS / IBPB evaluation (Sections 6.3, 8)
-//	sls          straight-line speculation cell (Table 1, footnote c)
-//	chain        full Section 7 exploit chain on one boot
-//	search       differential fuzzing of the speculation model (minimized findings)
-//	all          everything above with default parameters
+// `phantom help` lists the experiments: one per entry of the service
+// registry (internal/service), plus search (differential fuzzing of the
+// speculation model) and all (everything with default parameters).
+// Each experiment's flags come from its registry entry.
 //
 // Common flags: -arch, -seed, -runs, -jobs; see -h of each experiment.
 // Multi-run experiments fan their (arch, reboot) jobs over a worker pool
@@ -29,8 +18,8 @@
 //
 // Text output renders through the same engine as cmd/phantom-server
 // (internal/service.Execute), so a served result is byte-identical to
-// the CLI's stdout for the same request; -json paths emit the raw
-// structures instead.
+// the CLI's stdout for the same request; -json emits the documents that
+// rendering is made from (service.Evaluate) instead.
 //
 // Telemetry flags (before the experiment name):
 //
@@ -63,7 +52,6 @@ import (
 	"strings"
 	"syscall"
 
-	"phantom"
 	"phantom/internal/service"
 	"phantom/internal/telemetry"
 )
@@ -130,8 +118,7 @@ func realMainCtx(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		usage(stderr)
 		return 0
 	}
-	fn, ok := runners[cmd]
-	if !ok {
+	if _, ok := lookupCommand(cmd); !ok {
 		fmt.Fprintf(stderr, "phantom: unknown experiment %q\n\n", cmd)
 		usage(stderr)
 		return 2
@@ -171,7 +158,7 @@ func realMainCtx(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		telemetry.Enable(tcfg)
 	}
 
-	err := fn(ctx, stdout, cargs)
+	err := runCommand(ctx, stdout, cmd, cargs)
 
 	code := 0
 	switch {
@@ -205,16 +192,109 @@ func realMainCtx(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	return code
 }
 
-// runners maps every experiment name to its implementation. Each
-// runner writes experiment output to w only — diagnostics go to the
-// process stderr — so the same functions back tests, the CLI, and
-// (through service.Execute) the server.
-var runners = map[string]func(context.Context, io.Writer, []string) error{
-	"table1": cmdTable1, "fig6": cmdFig6, "fig7": cmdFig7,
-	"covert": cmdCovert, "kaslr": cmdKASLR, "physmap": cmdPhysmap,
-	"physaddr": cmdPhysAddr, "mds": cmdMDS, "mitigations": cmdMitigations,
-	"sls": cmdSLS, "report": cmdReport, "chain": cmdChain, "all": cmdAll,
-	"search": cmdSearch,
+// A command is one subcommand: it defines its flags on fs and returns
+// the function that runs it once fs has parsed the arguments. Commands
+// write experiment output to w only — diagnostics go to the process
+// stderr.
+type command func(fs *flag.FlagSet) func(ctx context.Context, w io.Writer) error
+
+// lookupCommand resolves a subcommand: one generic command per
+// registry experiment, plus search and all.
+func lookupCommand(name string) (command, bool) {
+	switch name {
+	case "search":
+		return cmdSearch, true
+	case "all":
+		return cmdAll, true
+	}
+	e, ok := service.Lookup(name)
+	if !ok {
+		return nil, false
+	}
+	return experimentCommand(e), true
+}
+
+// runCommand parses args into the named subcommand's flags and runs it.
+func runCommand(ctx context.Context, w io.Writer, name string, args []string) error {
+	cmd, ok := lookupCommand(name)
+	if !ok {
+		return fmt.Errorf("%w: unknown experiment %q", errUsage, name)
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	run := cmd(fs)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	return run(ctx, w)
+}
+
+// experimentCommand is the CLI of one registry entry: -arch if it takes
+// an arch list, -seed, a flag per request field it consumes, -jobs if it
+// runs on the worker pool and -json if it has documents to encode. The
+// flags fill a service.Request, which is normalized exactly as the
+// server does, so a bad value is a usage error rather than a panic.
+func experimentCommand(e service.Experiment) command {
+	return func(fs *flag.FlagSet) func(context.Context, io.Writer) error {
+		req := service.Request{Experiment: e.Name}
+		var arch string
+		if e.Archs != nil {
+			fs.StringVar(&arch, "arch", strings.Join(e.Archs, ","), "microarchitecture(s): name, comma list, amd, or all")
+		}
+		fs.Int64Var(&req.Seed, "seed", e.Seed, "random seed")
+		for _, p := range e.Params {
+			switch v := p.Field(&req).(type) {
+			case *int:
+				fs.IntVar(v, p.Name, int(p.Default), p.Usage())
+			case *float64:
+				fs.Float64Var(v, p.Name, p.Default, p.Usage())
+			}
+		}
+		var jobs int
+		if e.Jobs {
+			fs.IntVar(&jobs, "jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
+		}
+		var asJSON bool
+		if e.JSON {
+			fs.BoolVar(&asJSON, "json", false, "emit JSON instead of text")
+		}
+		return func(ctx context.Context, w io.Writer) error {
+			if e.Archs != nil {
+				req.Archs = splitArchs(arch)
+			}
+			n, err := req.Normalize()
+			if err != nil {
+				return fmt.Errorf("%w: %v", errUsage, err)
+			}
+			if asJSON {
+				docs, err := service.Evaluate(ctx, n, jobs)
+				if err != nil {
+					return err
+				}
+				for _, d := range docs {
+					if err := emitJSON(w, d); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if e.Hint != "" {
+				// Progress hint, not experiment output: stderr, so stdout
+				// stays byte-identical to the served result.
+				fmt.Fprintf(os.Stderr, e.Hint+"\n", strings.Join(n.Archs, ", "))
+			}
+			return service.Execute(ctx, w, n, jobs)
+		}
+	}
+}
+
+// splitArchs splits a comma-separated -arch value into the names (or
+// aliases) service.Request carries.
+func splitArchs(spec string) []string {
+	out := strings.Split(spec, ",")
+	for i, s := range out {
+		out[i] = strings.TrimSpace(s)
+	}
+	return out
 }
 
 func usage(w io.Writer) {
@@ -223,19 +303,11 @@ func usage(w io.Writer) {
 usage: phantom [-metrics file] [-progress] [-debug-addr addr] <experiment> [flags]
 
 experiments:
-  table1       training×victim misprediction matrix   (Table 1)
-  fig6         speculative decode vs page offset      (Figure 6)
-  fig7         BTB index-function recovery            (Figure 7)
-  covert       fetch/execute covert channels          (Table 2)
-  kaslr        kernel image KASLR break               (Table 3)
-  physmap      physmap KASLR break                    (Table 4)
-  physaddr     physical address derandomization       (Table 5)
-  mds          MDS-gadget kernel memory leak          (Section 7.4)
-  mitigations  mitigation evaluation                  (Sections 6.3, 8)
-  sls          straight-line speculation cell         (Table 1, footnote c)
-  report       full paper-vs-measured Markdown report
-  chain        full Section 7 exploit chain
-  search       differential fuzzing of the speculation model
+`)
+	for _, e := range service.Registry() {
+		fmt.Fprintf(w, "  %-12s %s\n", e.Name, e.Usage)
+	}
+	fmt.Fprint(w, `  search       differential fuzzing of the speculation model
   all          run everything with defaults
 
 serving: the same experiments are available over HTTP from the
@@ -248,358 +320,6 @@ func emitJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-// parseArchs resolves a comma-separated -arch value.
-func parseArchs(spec string) ([]phantom.Microarch, error) {
-	switch spec {
-	case "all":
-		return phantom.AllMicroarchs(), nil
-	case "amd":
-		return phantom.AMDMicroarchs(), nil
-	}
-	var out []phantom.Microarch
-	for _, s := range strings.Split(spec, ",") {
-		a := phantom.Microarch(strings.TrimSpace(s))
-		found := false
-		for _, known := range phantom.AllMicroarchs() {
-			if a == known {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown microarchitecture %q", s)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// archNames converts a typed microarch list to the name form
-// service.Request carries.
-func archNames(archs []phantom.Microarch) []string {
-	var out []string
-	for _, a := range archs {
-		out = append(out, string(a))
-	}
-	return out
-}
-
-func cmdTable1(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
-	arch := fs.String("arch", "all", "microarchitecture(s): name, comma list, amd, or all")
-	seed := fs.Int64("seed", 1, "random seed")
-	trials := fs.Int("trials", 6, "per-cell trials")
-	noise := fs.Float64("noise", 0, "noise level (0 = lab conditions)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		for _, a := range archs {
-			tb, err := phantom.RunTable1(a, phantom.Table1Options{Context: ctx, Seed: *seed, Trials: *trials, Noise: *noise})
-			if err != nil {
-				return err
-			}
-			if err := emitJSON(w, tb); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "table1", Archs: archNames(archs), Seed: *seed, Trials: *trials, Noise: *noise,
-	}, 0)
-}
-
-func cmdFig6(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("fig6", flag.ContinueOnError)
-	arch := fs.String("arch", "zen2,zen4", "microarchitecture(s); the paper plots zen2 and zen4")
-	seed := fs.Int64("seed", 1, "random seed")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of an ASCII chart")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		series, err := phantom.RunFig6SweepCtx(ctx, archs, *seed, *jobs)
-		if err != nil {
-			return err
-		}
-		for _, s := range series {
-			if err := emitJSON(w, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "fig6", Archs: archNames(archs), Seed: *seed,
-	}, *jobs)
-}
-
-func cmdFig7(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("fig7", flag.ContinueOnError)
-	arch := fs.String("arch", "zen3", "microarchitecture (the paper reverse engineers zen3)")
-	seed := fs.Int64("seed", 9, "random seed")
-	samples := fs.Int("samples", 22, "independent collisions to gather")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		recovered, err := phantom.RunFig7Sweep(archs, phantom.Fig7Options{Context: ctx, Seed: *seed, Samples: *samples, Jobs: *jobs})
-		if err != nil {
-			return err
-		}
-		for _, f := range recovered {
-			if err := emitJSON(w, f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Progress hint, not experiment output: stderr, so stdout stays
-	// byte-identical to the served result.
-	fmt.Fprintf(os.Stderr, "recovering BTB functions on %s (sampling may take ~10s)...\n",
-		strings.Join(archNames(archs), ", "))
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "fig7", Archs: archNames(archs), Seed: *seed, Samples: *samples,
-	}, *jobs)
-}
-
-func cmdCovert(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("covert", flag.ContinueOnError)
-	arch := fs.String("arch", "amd", "microarchitecture(s)")
-	seed := fs.Int64("seed", 1, "random seed")
-	bits := fs.Int("bits", 4096, "message bits per run")
-	runs := fs.Int("runs", 10, "runs (median reported)")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of tables")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		opts := phantom.Table2Options{Context: ctx, Seed: *seed, Bits: *bits, Runs: *runs, Jobs: *jobs}
-		rows, err := phantom.RunTable2Fetch(archs, opts)
-		if err != nil {
-			return err
-		}
-		execRows, err := phantom.RunTable2Execute(archs, opts)
-		if err != nil {
-			return err
-		}
-		return emitJSON(w, map[string]any{"fetch": rows, "execute": execRows})
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "covert", Archs: archNames(archs), Seed: *seed, Bits: *bits, Runs: *runs,
-	}, *jobs)
-}
-
-func cmdKASLR(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("kaslr", flag.ContinueOnError)
-	arch := fs.String("arch", "zen2,zen3,zen4", "microarchitecture(s); Table 3 uses zen2, zen3, zen4")
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 20, "reboots (the paper uses 100)")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		rows, err := phantom.RunTable3(archs, phantom.DerandOptions{Context: ctx, Seed: *seed, Runs: *runs, Jobs: *jobs})
-		if err != nil {
-			return err
-		}
-		return emitJSON(w, rows)
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "kaslr", Archs: archNames(archs), Seed: *seed, Runs: *runs,
-	}, *jobs)
-}
-
-func cmdPhysmap(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("physmap", flag.ContinueOnError)
-	arch := fs.String("arch", "zen1,zen2", "microarchitecture(s); P2 works on zen1, zen2")
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 10, "reboots")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		rows, err := phantom.RunTable4(archs, phantom.DerandOptions{Context: ctx, Seed: *seed, Runs: *runs, Jobs: *jobs})
-		if err != nil {
-			return err
-		}
-		return emitJSON(w, rows)
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "physmap", Archs: archNames(archs), Seed: *seed, Runs: *runs,
-	}, *jobs)
-}
-
-func cmdPhysAddr(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("physaddr", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 20, "reboots (the paper uses 100)")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if *asJSON {
-		rows, err := phantom.RunTable5(phantom.DerandOptions{Context: ctx, Seed: *seed, Runs: *runs, Jobs: *jobs})
-		if err != nil {
-			return err
-		}
-		return emitJSON(w, rows)
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "physaddr", Seed: *seed, Runs: *runs,
-	}, *jobs)
-}
-
-func cmdMDS(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("mds", flag.ContinueOnError)
-	arch := fs.String("arch", "zen2", "microarchitecture (the paper's PoC runs on zen2)")
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 10, "reboots")
-	bytes := fs.Int("bytes", 4096, "bytes to leak per run")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		for _, a := range archs {
-			rep, err := phantom.RunMDSExperiment(a, phantom.MDSOptions{Context: ctx, Seed: *seed, Runs: *runs, Bytes: *bytes, Jobs: *jobs})
-			if err != nil {
-				return err
-			}
-			if err := emitJSON(w, rep); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "mds", Archs: archNames(archs), Seed: *seed, Runs: *runs, Bytes: *bytes,
-	}, *jobs)
-}
-
-func cmdMitigations(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("mitigations", flag.ContinueOnError)
-	arch := fs.String("arch", "amd", "microarchitecture(s)")
-	seed := fs.Int64("seed", 1, "random seed")
-	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		for _, a := range archs {
-			m, err := phantom.RunMitigations(a, *seed)
-			if err != nil {
-				return err
-			}
-			if err := emitJSON(w, m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "mitigations", Archs: archNames(archs), Seed: *seed,
-	}, 0)
-}
-
-func cmdSLS(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("sls", flag.ContinueOnError)
-	arch := fs.String("arch", "all", "microarchitecture(s)")
-	seed := fs.Int64("seed", 1, "random seed")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "sls", Archs: archNames(archs), Seed: *seed,
-	}, 0)
-}
-
-func cmdReport(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 10, "runs per derandomization experiment")
-	bits := fs.Int("bits", 1024, "bits per covert-channel run")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "report", Seed: *seed, Runs: *runs, Bits: *bits,
-	}, *jobs)
-}
-
-func cmdChain(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("chain", flag.ContinueOnError)
-	arch := fs.String("arch", "zen2", "microarchitecture")
-	seed := fs.Int64("seed", 1, "random seed")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "chain", Archs: archNames(archs), Seed: *seed,
-	}, 0)
-}
-
-// allRunners maps every step name cmdAll issues to its implementation.
-var allRunners = map[string]func(context.Context, io.Writer, []string) error{
-	"table1": cmdTable1, "fig6": cmdFig6, "fig7": cmdFig7,
-	"covert": cmdCovert, "kaslr": cmdKASLR, "physmap": cmdPhysmap,
-	"physaddr": cmdPhysAddr, "mds": cmdMDS, "mitigations": cmdMitigations,
-	"sls": cmdSLS, "chain": cmdChain,
 }
 
 // allSteps builds the `phantom all` schedule. Every step receives the
@@ -624,22 +344,20 @@ func allSteps(seed int64, runs, jobs int) [][]string {
 	}
 }
 
-func cmdAll(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("all", flag.ContinueOnError)
+func cmdAll(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed, forwarded to every step")
 	runs := fs.Int("runs", 10, "reboots for the multi-run experiments")
 	jobs := fs.Int("jobs", 0, "parallel workers per step (0 = GOMAXPROCS, 1 = sequential)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	for _, s := range allSteps(*seed, *runs, *jobs) {
-		if err := ctx.Err(); err != nil {
-			return err
+	return func(ctx context.Context, w io.Writer) error {
+		for _, s := range allSteps(*seed, *runs, *jobs) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "\n===== phantom %s =====\n", strings.Join(s, " "))
+			if err := runCommand(ctx, w, s[0], s[1:]); err != nil {
+				return fmt.Errorf("%s: %w", s[0], err)
+			}
 		}
-		fmt.Fprintf(w, "\n===== phantom %s =====\n", strings.Join(s, " "))
-		if err := allRunners[s[0]](ctx, w, s[1:]); err != nil {
-			return fmt.Errorf("%s: %w", s[0], err)
-		}
+		return nil
 	}
-	return nil
 }

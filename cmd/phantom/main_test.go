@@ -2,36 +2,51 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
-	"phantom"
+	"phantom/internal/service"
 )
 
 // TestExitCodes pins the CLI convention shared by all three binaries:
-// 0 success, 1 runtime error, 2 usage error.
+// 0 success, 1 runtime error, 2 usage error. Every experiment request
+// is normalized before it runs, so out-of-range values are usage errors
+// rather than panics, and a defaulted value shows in the output as the
+// value that actually ran.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
-		name string
-		args []string
-		want int
+		name   string
+		args   []string
+		want   int
+		stdout string // substring stdout must contain, if set
 	}{
-		{"no args", nil, 2},
-		{"unknown experiment", []string{"frobnicate"}, 2},
-		{"bad top-level flag", []string{"-definitely-not-a-flag", "table1"}, 2},
-		{"bad subcommand flag", []string{"table1", "-definitely-not-a-flag"}, 2},
-		{"help", []string{"help"}, 0},
-		{"help flag", []string{"-h"}, 0},
-		{"runtime error", []string{"mitigations", "-arch", "i486"}, 1},
-		{"bad metrics path", []string{"-metrics", filepath.Join(t.TempDir(), "no", "such", "dir", "x.jsonl"), "table1"}, 1},
+		{"no args", nil, 2, ""},
+		{"unknown experiment", []string{"frobnicate"}, 2, ""},
+		{"bad top-level flag", []string{"-definitely-not-a-flag", "table1"}, 2, ""},
+		{"bad subcommand flag", []string{"table1", "-definitely-not-a-flag"}, 2, ""},
+		{"help", []string{"help"}, 0, ""},
+		{"help flag", []string{"-h"}, 0, ""},
+		{"unknown arch", []string{"mitigations", "-arch", "i486"}, 2, ""},
+		{"negative runs", []string{"kaslr", "-runs", "-1"}, 2, ""},
+		{"negative bits", []string{"covert", "-bits", "-5"}, 2, ""},
+		{"zero runs means the default", []string{"kaslr", "-arch", "zen2", "-runs", "0"}, 0, "(20 runs)"},
+		{"runtime error", []string{"search", "-arch", "i486", "-budget", "1"}, 1, ""},
+		{"bad metrics path", []string{"-metrics", filepath.Join(t.TempDir(), "no", "such", "dir", "x.jsonl"), "table1"}, 1, ""},
 	}
 	for _, c := range cases {
-		if got := realMain(c.args, io.Discard); got != c.want {
+		var stdout bytes.Buffer
+		if got := realMainCtx(context.Background(), c.args, &stdout, io.Discard); got != c.want {
 			t.Errorf("%s: realMain(%v) = %d, want %d", c.name, c.args, got, c.want)
+		}
+		if !strings.Contains(stdout.String(), c.stdout) {
+			t.Errorf("%s: stdout of %v lacks %q:\n%s", c.name, c.args, c.stdout, &stdout)
 		}
 	}
 }
@@ -102,12 +117,20 @@ func TestAllStepsForwardSeedEverywhere(t *testing.T) {
 	// Regression: `phantom all -seed 42` used to forward -seed only to
 	// table1, silently running the other ten steps at the default seed.
 	steps := allSteps(42, 7, 3)
-	if len(steps) != len(allRunners) {
-		t.Fatalf("%d steps vs %d runners", len(steps), len(allRunners))
+	stepped := map[string]bool{}
+	for _, s := range steps {
+		stepped[s[0]] = true
+	}
+	// Every experiment is a step, except the report, which reruns them
+	// all.
+	for _, e := range service.Registry() {
+		if !stepped[e.Name] && e.Name != "report" {
+			t.Errorf("experiment %q is not a step of phantom all", e.Name)
+		}
 	}
 	for _, s := range steps {
-		if _, ok := allRunners[s[0]]; !ok {
-			t.Errorf("step %q has no runner", s[0])
+		if _, ok := service.Lookup(s[0]); !ok {
+			t.Errorf("step %q is not a registry experiment", s[0])
 		}
 		seeded := false
 		for i, a := range s[:len(s)-1] {
@@ -123,8 +146,7 @@ func TestAllStepsForwardSeedEverywhere(t *testing.T) {
 
 func TestAllStepsForwardJobsToSweeps(t *testing.T) {
 	for _, s := range allSteps(1, 5, 4) {
-		switch s[0] {
-		case "fig6", "fig7", "covert", "kaslr", "physmap", "physaddr", "mds":
+		if e, _ := service.Lookup(s[0]); e.Jobs {
 			forwarded := false
 			for i, a := range s[:len(s)-1] {
 				if a == "-jobs" && s[i+1] == "4" {
@@ -138,24 +160,29 @@ func TestAllStepsForwardJobsToSweeps(t *testing.T) {
 	}
 }
 
+// TestParseArchs checks how an -arch value becomes the request's arch
+// list: split on commas, then normalized exactly as the server does.
 func TestParseArchs(t *testing.T) {
-	all, err := parseArchs("all")
+	parse := func(spec string) ([]string, error) {
+		n, err := service.Request{Experiment: "table1", Archs: splitArchs(spec)}.Normalize()
+		return n.Archs, err
+	}
+	all, err := parse("all")
 	if err != nil || len(all) != 8 {
 		t.Fatalf("all: %v, %v", all, err)
 	}
-	amd, err := parseArchs("amd")
+	amd, err := parse("amd")
 	if err != nil || len(amd) != 4 {
 		t.Fatalf("amd: %v, %v", amd, err)
 	}
-	list, err := parseArchs("zen2, zen4")
-	if err != nil || len(list) != 2 || list[0] != phantom.Zen2 || list[1] != phantom.Zen4 {
-		t.Fatalf("list: %v, %v", list, err)
+	list, err := parse("zen4, zen2,zen4")
+	if err != nil || !slices.Equal(list, []string{"zen2", "zen4"}) {
+		t.Fatalf("list: %v, %v (want canonical order, deduplicated)", list, err)
 	}
-	if _, err := parseArchs("zen5"); err == nil {
-		t.Fatal("unknown arch accepted")
-	}
-	if _, err := parseArchs("zen2,badarch"); err == nil {
-		t.Fatal("partially bad list accepted")
+	for _, bad := range []string{"zen5", "zen2,badarch", ""} {
+		if _, err := parse(bad); err == nil {
+			t.Errorf("-arch %q accepted", bad)
+		}
 	}
 }
 
@@ -165,26 +192,16 @@ func TestExperimentsSmallRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke runs")
 	}
-	ctx := context.Background()
-	cases := [][]string{
-		{"-arch", "zen2", "-trials", "2"},
-	}
-	for _, args := range cases {
-		if err := cmdTable1(ctx, io.Discard, args); err != nil {
-			t.Errorf("table1 %v: %v", args, err)
+	for _, args := range [][]string{
+		{"table1", "-arch", "zen2", "-trials", "2"},
+		{"covert", "-arch", "zen2", "-bits", "64", "-runs", "1"},
+		{"kaslr", "-arch", "zen2", "-runs", "2", "-jobs", "2"},
+		{"mds", "-arch", "zen2", "-runs", "1", "-bytes", "64"},
+		{"chain", "-arch", "zen2"},
+	} {
+		if err := runCommand(context.Background(), io.Discard, args[0], args[1:]); err != nil {
+			t.Errorf("%v: %v", args, err)
 		}
-	}
-	if err := cmdCovert(ctx, io.Discard, []string{"-arch", "zen2", "-bits", "64", "-runs", "1"}); err != nil {
-		t.Errorf("covert: %v", err)
-	}
-	if err := cmdKASLR(ctx, io.Discard, []string{"-arch", "zen2", "-runs", "2", "-jobs", "2"}); err != nil {
-		t.Errorf("kaslr: %v", err)
-	}
-	if err := cmdMDS(ctx, io.Discard, []string{"-arch", "zen2", "-runs", "1", "-bytes", "64"}); err != nil {
-		t.Errorf("mds: %v", err)
-	}
-	if err := cmdChain(ctx, io.Discard, []string{"-arch", "zen2"}); err != nil {
-		t.Errorf("chain: %v", err)
 	}
 }
 

@@ -29,29 +29,28 @@ func TestServedOutputMatchesCLI(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		cli     func(ctx context.Context, w io.Writer, args []string) error
 		args    []string
 		request string
 	}{
 		{
-			"table1", cmdTable1,
-			[]string{"-arch", "zen2", "-trials", "2"},
+			"table1",
+			[]string{"table1", "-arch", "zen2", "-trials", "2"},
 			`{"experiment":"table1","archs":["zen2"],"trials":2}`,
 		},
 		{
-			"chain", cmdChain,
-			[]string{"-arch", "zen2", "-seed", "3"},
+			"chain",
+			[]string{"chain", "-arch", "zen2", "-seed", "3"},
 			`{"experiment":"chain","archs":["zen2"],"seed":3}`,
 		},
 		{
-			"sls (explicit vs defaulted request)", cmdSLS,
-			nil,
+			"sls (explicit vs defaulted request)",
+			[]string{"sls"},
 			`{"experiment":"sls","archs":["all"],"seed":1}`,
 		},
 	}
 	for _, c := range cases {
 		var cli bytes.Buffer
-		if err := c.cli(context.Background(), &cli, c.args); err != nil {
+		if err := runCommand(context.Background(), &cli, c.args[0], c.args[1:]); err != nil {
 			t.Fatalf("%s: CLI: %v", c.name, err)
 		}
 		for round, wantCached := range []bool{false, true} {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestSuiteNamesAndLookup(t *testing.T) {
-	want := []string{"determinism", "maporder", "noperturb", "ctxflow", "faultalloc",
+	want := []string{"determinism", "maporder", "noperturb", "ctxflow",
 		"lockcheck", "errflow", "goleak", "hotalloc", "unusedignore"}
 	suite := Suite()
 	if len(suite) != len(want) {
@@ -173,9 +173,9 @@ func TestScopes(t *testing.T) {
 		{CtxFlow, "phantom/cmd/phantom-server", "main.go", false},
 		{CtxFlow, "phantom", "experiments.go", false},
 
-		{FaultAlloc, "phantom/internal/mem", "mem.go", true},
-		{FaultAlloc, "phantom/internal/pipeline", "predecode.go", true},
-		{FaultAlloc, "phantom/internal/service", "server.go", false},
+		{HotAlloc, "phantom/internal/mem", "mem.go", true},
+		{HotAlloc, "phantom/internal/pipeline", "predecode.go", true},
+		{HotAlloc, "phantom/internal/service", "server.go", false},
 	}
 	for _, c := range cases {
 		if got := c.a.Applies(c.pkgPath, c.filename); got != c.want {

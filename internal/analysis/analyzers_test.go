@@ -32,11 +32,6 @@ func TestCtxFlowFixtures(t *testing.T) {
 	RunFixture(t, CtxFlow, fixture("ctxflow", "ok"))
 }
 
-func TestFaultAllocFixtures(t *testing.T) {
-	RunFixture(t, FaultAlloc, fixture("faultalloc", "bad"))
-	RunFixture(t, FaultAlloc, fixture("faultalloc", "ok"))
-}
-
 func TestLockCheckFixtures(t *testing.T) {
 	RunFixture(t, LockCheck, fixture("lockcheck", "bad"))
 	RunFixture(t, LockCheck, fixture("lockcheck", "ok"))
@@ -73,15 +68,15 @@ func TestCrossAnalyzerSilence(t *testing.T) {
 	}{
 		{Determinism, fixture("noperturb", "bad")},
 		{Determinism, fixture("ctxflow", "bad")},
-		{Determinism, fixture("faultalloc", "bad")},
+		{Determinism, fixture("hotalloc", "bad")},
 		{NoPerturb, fixture("determinism", "bad")},
 		{NoPerturb, fixture("ctxflow", "bad")},
 		{CtxFlow, fixture("determinism", "bad")},
-		{CtxFlow, fixture("faultalloc", "bad")},
-		{FaultAlloc, fixture("determinism", "bad")},
-		{FaultAlloc, fixture("maporder", "bad")},
+		{CtxFlow, fixture("hotalloc", "bad")},
+		{HotAlloc, fixture("determinism", "bad")},
+		{HotAlloc, fixture("maporder", "bad")},
 		{MapOrder, fixture("determinism", "bad")},
-		{MapOrder, fixture("faultalloc", "bad")},
+		{MapOrder, fixture("hotalloc", "bad")},
 	}
 	for _, c := range cases {
 		diags, _, err := AnalyzeDir(c.a, c.fixture)

@@ -19,21 +19,18 @@ var HotRoots = []string{
 	"(*phantom/internal/pipeline.Machine).FlushVA",
 }
 
-// HotAlloc is the interprocedural generalization of faultalloc: no
-// heap allocation in any function the whole-repo call graph marks
-// reachable from the hot roots.
+// HotAlloc forbids heap allocation in any function the whole-repo call
+// graph marks reachable from the hot roots.
 //
-// faultalloc pins one shape (&Fault{}) in a fixed package list; it
-// misses the helper two calls away that builds a []Probe on every
-// step. HotAlloc closes that gap with the call graph: the driver
-// computes the set of functions reachable from HotRoots across the
-// repo (callgraph.go facts) and this analyzer flags the allocating
-// shapes inside them — address-of composite literal, new(T), map and
-// slice composite literals, and growing append. Plain `make` is
-// deliberately NOT flagged: the simulator's sanctioned amortization
-// idiom is a make'd arena reused across steps (btb.set), and append
-// into a 3-arg-make'd slice in the same function is recognized as that
-// idiom too.
+// The driver computes the set of functions reachable from HotRoots
+// across the repo (callgraph.go facts) and this analyzer flags the
+// allocating shapes inside them — address-of composite literal (the
+// &Fault{} a missed probe must never build: Faults pass by value),
+// new(T), map and slice composite literals, and growing append. Plain
+// `make` is deliberately NOT flagged: the simulator's sanctioned
+// amortization idiom is a make'd arena reused across steps (btb.set),
+// and append into a 3-arg-make'd slice in the same function is
+// recognized as that idiom too.
 //
 // Cold constructors stay free to allocate: NewX functions run once.
 // What matters is reachability from the roots, not package membership.
@@ -45,11 +42,17 @@ var HotAlloc = &Analyzer{
 	Run:     runHotAlloc,
 }
 
-// hotAllocScope mirrors faultalloc's package list — the simulation
-// core. The call graph narrows further to actually-hot functions;
-// the scope only bounds which packages are worth summarizing.
+// hotAllocScope is the simulation core: the packages on (or feeding)
+// the per-instruction fetch/translate/probe path. The call graph
+// narrows further to actually-hot functions; the scope only bounds
+// which packages are worth summarizing.
 func hotAllocScope(pkgPath, filename string) bool {
-	return faultAllocScope(pkgPath, filename)
+	switch pkgPath {
+	case "phantom/internal/mem", "phantom/internal/pipeline", "phantom/internal/cache",
+		"phantom/internal/uarch", "phantom/internal/core", "phantom/internal/kernel":
+		return true
+	}
+	return false
 }
 
 func runHotAlloc(pass *Pass) {

@@ -2,6 +2,13 @@ package bad
 
 type probe struct{ va, tag uint64 }
 
+// Fault mirrors the simulator's page-fault record, which the hot
+// translate path passes and returns by value.
+type Fault struct {
+	VA   uint64
+	Kind int
+}
+
 var sink any
 
 //phantomvet:hotroot fixture stand-in for the pipeline step path
@@ -17,6 +24,12 @@ func step(n int) int {
 	var grown []probe
 	grown = append(grown, probe{va: 2}) // want "append may grow its backing array in a hot function"
 	sink = grown
+	f := &Fault{VA: 3, Kind: 1} // want "&composite literal allocates in a hot function"
+	sink = f
+	g := new(Fault) // want "allocates in a hot function"
+	sink = g
+	_, fault := translate(uint64(n), n > 0)
+	sink = fault
 	return helper(n)
 }
 
@@ -25,6 +38,17 @@ func helper(n int) int {
 	h := &probe{tag: uint64(n)} // want "&composite literal allocates in a hot function"
 	sink = h
 	return n
+}
+
+// translate is hot through step. A pointer-shaped Fault escapes to the
+// heap on every missed probe, so the simulator returns Faults by value.
+func translate(va uint64, present bool) (uint64, *Fault) {
+	if !present {
+		return 0, &Fault{VA: va, Kind: 1} // want "&composite literal allocates in a hot function"
+	}
+	f := new(Fault) // want "allocates in a hot function"
+	f.VA = va
+	return va, f
 }
 
 // cold is unreachable from any hot root; it may allocate freely.

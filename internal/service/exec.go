@@ -1,194 +1,451 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 
 	"phantom"
 )
 
-// Execute runs one normalized request and writes the experiment's text
-// rendering to w. This is the single rendering engine behind both front
-// ends: cmd/phantom calls it for its (non-JSON) stdout and cmd/
-// phantom-server for response bodies, which is what makes served
-// results byte-identical to CLI output by construction (and pinned by
+// Experiment declares one servable experiment, once: the request fields
+// it consumes and their defaults, how heavy it is, how to evaluate it
+// and how to render the result. Normalize, Execute, Timeout, the
+// cluster fan-out and the phantom CLI (its flags, -json and help text)
+// all read this one entry, so adding an experiment is one registry
+// entry plus its golden file.
+type Experiment struct {
+	// Name is the experiment name, exactly as the CLI and the API spell
+	// it.
+	Name string
+	// Usage is the one-line description `phantom help` lists.
+	Usage string
+	// Archs is the default arch list, spelled as a client would: names
+	// or the aliases "all" / "amd". Nil means the experiment takes no
+	// arch list.
+	Archs []string
+	// Seed is the default seed.
+	Seed int64
+	// Params are the optional Request fields the experiment consumes,
+	// with their defaults. Normalize forces every other field to zero so
+	// it cannot split the cache.
+	Params []Param
+	// Jobs reports whether the experiment runs on the sweep worker pool,
+	// so that the CLI offers -jobs.
+	Jobs bool
+	// JSON reports whether the CLI offers -json, which encodes each
+	// document Evaluate returns as one JSON value.
+	JSON bool
+	// Hint, when set, is a progress note the CLI prints on stderr before
+	// a text run; %s is the comma-separated arch list.
+	Hint string
+
+	// weight scales the server's per-experiment deadline (see
+	// Config.BaseTimeout): heavier experiments get proportionally more.
+	weight int
+	// separable marks experiments that render each arch independently
+	// with identical options, so a multi-arch request is byte-identical
+	// to its per-arch sub-requests concatenated in canonical order. The
+	// cluster tier fans these out across peers; anything else routes as
+	// one unit.
+	separable bool
+	// run evaluates a normalized request into its result documents.
+	run func(ctx context.Context, req Request, jobs int) ([]any, error)
+	// text renders run's documents; nil prints each on its own line.
+	text func(w io.Writer, req Request, docs []any)
+}
+
+// Param is an optional numeric Request field an experiment consumes.
+type Param struct {
+	// Name is the field's JSON name, which is also its CLI flag.
+	Name string
+	// Default is the value a zero field stands for.
+	Default float64
+}
+
+// fields are the optional numeric Request fields, in the order
+// Normalize validates them.
+var fields = []struct {
+	name, usage string
+	ptr         func(*Request) any // *int, or *float64 for noise
+}{
+	{"trials", "per-cell trials", func(r *Request) any { return &r.Trials }},
+	{"noise", "noise level (0 = lab conditions)", func(r *Request) any { return &r.Noise }},
+	{"bits", "message bits per run", func(r *Request) any { return &r.Bits }},
+	{"runs", "runs (reboots) per measurement", func(r *Request) any { return &r.Runs }},
+	{"bytes", "bytes to leak per run", func(r *Request) any { return &r.Bytes }},
+	{"samples", "independent collisions to gather", func(r *Request) any { return &r.Samples }},
+}
+
+// Usage is the field's CLI help text.
+func (p Param) Usage() string {
+	for _, f := range fields {
+		if f.name == p.Name {
+			return f.usage
+		}
+	}
+	return ""
+}
+
+// Field returns a pointer to r's field named by p: an *int, or a
+// *float64 for noise.
+func (p Param) Field(r *Request) any {
+	for _, f := range fields {
+		if f.name == p.Name {
+			return f.ptr(r)
+		}
+	}
+	panic("service: unknown request field " + p.Name)
+}
+
+// registry is the catalog of servable experiments in the order the CLI
+// lists them. Normalize's defaults come from here, and so do the CLI's
+// flag defaults: both front ends agree by construction.
+var registry = []Experiment{
+	{
+		Name: "table1", Usage: "training×victim misprediction matrix (Table 1)",
+		Archs: []string{"all"}, Seed: 1, Params: []Param{{"trials", 6}, {"noise", 0}},
+		JSON: true, weight: 2, separable: true,
+		run: func(ctx context.Context, req Request, _ int) ([]any, error) {
+			return perArch(ctx, req, func(a phantom.Microarch) (*phantom.Table1, error) {
+				return phantom.RunTable1(a, phantom.Table1Options{
+					Context: ctx, Seed: req.Seed, Trials: req.Trials, Noise: req.Noise,
+				})
+			})
+		},
+	},
+	{
+		Name: "fig6", Usage: "speculative decode vs page offset (Figure 6)",
+		Archs: []string{"zen2", "zen4"}, Seed: 1, Jobs: true, JSON: true, weight: 1,
+		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
+			return each(phantom.RunFig6SweepCtx(ctx, microarchs(req.Archs), req.Seed, jobs))
+		},
+	},
+	{
+		Name: "fig7", Usage: "BTB index-function recovery (Figure 7)",
+		Archs: []string{"zen3"}, Seed: 9, Params: []Param{{"samples", 22}},
+		Jobs: true, JSON: true, weight: 4,
+		Hint: "recovering BTB functions on %s (sampling may take ~10s)...",
+		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
+			return each(phantom.RunFig7Sweep(microarchs(req.Archs), phantom.Fig7Options{
+				Context: ctx, Seed: req.Seed, Samples: req.Samples, Jobs: jobs,
+			}))
+		},
+	},
+	{
+		Name: "covert", Usage: "fetch/execute covert channels (Table 2)",
+		Archs: []string{"amd"}, Seed: 1, Params: []Param{{"bits", 4096}, {"runs", 10}},
+		Jobs: true, JSON: true, weight: 3,
+		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
+			archs := microarchs(req.Archs)
+			opts := phantom.Table2Options{Context: ctx, Seed: req.Seed, Bits: req.Bits, Runs: req.Runs, Jobs: jobs}
+			fetch, err := phantom.RunTable2Fetch(archs, opts)
+			if err != nil {
+				return nil, err
+			}
+			exec, err := phantom.RunTable2Execute(archs, opts)
+			return one(covertResult{Execute: exec, Fetch: fetch}, err)
+		},
+		text: func(w io.Writer, _ Request, docs []any) {
+			r := docs[0].(covertResult)
+			fmt.Fprint(w, phantom.FormatTable2("Table 2 (top) — fetch covert channel (P1)", r.Fetch))
+			fmt.Fprintln(w)
+			fmt.Fprint(w, phantom.FormatTable2("Table 2 (bottom) — execute covert channel (P2)", r.Execute))
+		},
+	},
+	{
+		Name: "kaslr", Usage: "kernel image KASLR break (Table 3)",
+		Archs: []string{"zen2", "zen3", "zen4"}, Seed: 1, Params: []Param{{"runs", 20}},
+		Jobs: true, JSON: true, weight: 3,
+		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
+			return one(phantom.RunTable3(microarchs(req.Archs), derandOptions(ctx, req, jobs)))
+		},
+		text: derandText("Table 3 — kernel image KASLR via P1 (%d runs)"),
+	},
+	{
+		Name: "physmap", Usage: "physmap KASLR break (Table 4)",
+		Archs: []string{"zen1", "zen2"}, Seed: 1, Params: []Param{{"runs", 10}},
+		Jobs: true, JSON: true, weight: 3,
+		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
+			return one(phantom.RunTable4(microarchs(req.Archs), derandOptions(ctx, req, jobs)))
+		},
+		text: derandText("Table 4 — physmap KASLR via P2 (%d runs)"),
+	},
+	{
+		Name: "physaddr", Usage: "physical address derandomization (Table 5)",
+		Seed: 1, Params: []Param{{"runs", 20}}, Jobs: true, JSON: true, weight: 4,
+		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
+			return one(phantom.RunTable5(derandOptions(ctx, req, jobs)))
+		},
+		text: derandText("Table 5 — physical address of a user page (%d runs)"),
+	},
+	{
+		Name: "mds", Usage: "MDS-gadget kernel memory leak (Section 7.4)",
+		Archs: []string{"zen2"}, Seed: 1, Params: []Param{{"runs", 10}, {"bytes", 4096}},
+		Jobs: true, JSON: true, weight: 4, separable: true,
+		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
+			return perArch(ctx, req, func(a phantom.Microarch) (*phantom.MDSReport, error) {
+				return phantom.RunMDSExperiment(a, phantom.MDSOptions{
+					Context: ctx, Seed: req.Seed, Runs: req.Runs, Bytes: req.Bytes, Jobs: jobs,
+				})
+			})
+		},
+	},
+	{
+		Name: "mitigations", Usage: "mitigation evaluation (Sections 6.3, 8)",
+		Archs: []string{"amd"}, Seed: 1, JSON: true, weight: 2, separable: true,
+		run: func(ctx context.Context, req Request, _ int) ([]any, error) {
+			return perArch(ctx, req, func(a phantom.Microarch) (*phantom.MitigationSummary, error) {
+				return phantom.RunMitigations(a, req.Seed)
+			})
+		},
+	},
+	{
+		Name: "sls", Usage: "straight-line speculation cell (Table 1, footnote c)",
+		Archs: []string{"all"}, Seed: 1, weight: 2,
+		run:  runSLS,
+		text: textSLS,
+	},
+	{
+		Name: "report", Usage: "full paper-vs-measured Markdown report",
+		Seed: 1, Params: []Param{{"runs", 10}, {"bits", 1024}}, Jobs: true, weight: 10,
+		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
+			var b bytes.Buffer
+			err := phantom.GenerateReport(&b, phantom.ReportOptions{
+				Context: ctx, Seed: req.Seed, Runs: req.Runs, Bits: req.Bits, Jobs: jobs,
+			})
+			return one(b.String(), err)
+		},
+		text: func(w io.Writer, _ Request, docs []any) { io.WriteString(w, docs[0].(string)) },
+	},
+	{
+		Name: "chain", Usage: "full Section 7 exploit chain",
+		Archs: []string{"zen2"}, Seed: 1, weight: 3, separable: true,
+		run:  runChain,
+		text: textChain,
+	},
+}
+
+// Registry returns the experiment catalog in the order the CLI lists
+// it.
+func Registry() []Experiment { return slices.Clone(registry) }
+
+// Lookup returns the named experiment's registry entry.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range registry {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Experiments lists the servable experiment names in sorted order (the
+// /v1/arches handler).
+func Experiments() []string {
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.Name
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Execute runs one request and writes the experiment's text rendering
+// to w. This is the single rendering engine behind both front ends:
+// cmd/phantom calls it for its (non-JSON) stdout and cmd/phantom-server
+// for response bodies, which is what makes served results
+// byte-identical to CLI output by construction (and pinned by
 // TestServedOutputMatchesCLI).
 //
-// ctx bounds the evaluation — it is threaded into every experiment
-// options struct, so cancellation or an expired deadline aborts the
-// underlying sweep jobs. jobs sizes the worker pool of the sweep-backed
-// experiments (0 = GOMAXPROCS); it never changes the output, only how
-// fast it is produced.
+// Execute normalizes req itself, so a raw request gets the documented
+// defaults and validation whichever front end (or library caller)
+// hands it over. ctx bounds the evaluation — it is threaded into every
+// experiment options struct, so cancellation or an expired deadline
+// aborts the underlying sweep jobs. jobs sizes the worker pool of the
+// sweep-backed experiments (0 = GOMAXPROCS); it never changes the
+// output, only how fast it is produced.
 func Execute(ctx context.Context, w io.Writer, req Request, jobs int) error {
-	if err := ctx.Err(); err != nil {
+	req, err := req.Normalize()
+	if err != nil {
 		return err
 	}
-	archs := microarchs(req.Archs)
-	switch req.Experiment {
-	case "table1":
-		for _, a := range archs {
-			tb, err := phantom.RunTable1(a, phantom.Table1Options{
-				Context: ctx, Seed: req.Seed, Trials: req.Trials, Noise: req.Noise,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, tb)
-		}
-	case "fig6":
-		series, err := phantom.RunFig6SweepCtx(ctx, archs, req.Seed, jobs)
-		if err != nil {
-			return err
-		}
-		for _, s := range series {
-			fmt.Fprintln(w, s)
-		}
-	case "fig7":
-		recovered, err := phantom.RunFig7Sweep(archs, phantom.Fig7Options{
-			Context: ctx, Seed: req.Seed, Samples: req.Samples, Jobs: jobs,
-		})
-		if err != nil {
-			return err
-		}
-		for _, f := range recovered {
-			fmt.Fprintln(w, f)
-		}
-	case "covert":
-		opts := phantom.Table2Options{Context: ctx, Seed: req.Seed, Bits: req.Bits, Runs: req.Runs, Jobs: jobs}
-		rows, err := phantom.RunTable2Fetch(archs, opts)
-		if err != nil {
-			return err
-		}
-		execRows, err := phantom.RunTable2Execute(archs, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, phantom.FormatTable2("Table 2 (top) — fetch covert channel (P1)", rows))
-		fmt.Fprintln(w)
-		fmt.Fprint(w, phantom.FormatTable2("Table 2 (bottom) — execute covert channel (P2)", execRows))
-	case "kaslr":
-		rows, err := phantom.RunTable3(archs, phantom.DerandOptions{Context: ctx, Seed: req.Seed, Runs: req.Runs, Jobs: jobs})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, phantom.FormatDerand(
-			fmt.Sprintf("Table 3 — kernel image KASLR via P1 (%d runs)", req.Runs), rows))
-	case "physmap":
-		rows, err := phantom.RunTable4(archs, phantom.DerandOptions{Context: ctx, Seed: req.Seed, Runs: req.Runs, Jobs: jobs})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, phantom.FormatDerand(
-			fmt.Sprintf("Table 4 — physmap KASLR via P2 (%d runs)", req.Runs), rows))
-	case "physaddr":
-		rows, err := phantom.RunTable5(phantom.DerandOptions{Context: ctx, Seed: req.Seed, Runs: req.Runs, Jobs: jobs})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, phantom.FormatDerand(
-			fmt.Sprintf("Table 5 — physical address of a user page (%d runs)", req.Runs), rows))
-	case "mds":
-		for _, a := range archs {
-			rep, err := phantom.RunMDSExperiment(a, phantom.MDSOptions{
-				Context: ctx, Seed: req.Seed, Runs: req.Runs, Bytes: req.Bytes, Jobs: jobs,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, rep)
-		}
-	case "mitigations":
-		for _, a := range archs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			m, err := phantom.RunMitigations(a, req.Seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, m)
-		}
-	case "sls":
-		return execSLS(ctx, w, req, archs)
-	case "chain":
-		return execChain(ctx, w, req, archs)
-	case "report":
-		return phantom.GenerateReport(w, phantom.ReportOptions{
-			Context: ctx, Seed: req.Seed, Runs: req.Runs, Bits: req.Bits, Jobs: jobs,
-		})
-	default:
-		return fmt.Errorf("unknown experiment %q", req.Experiment)
+	docs, err := Evaluate(ctx, req, jobs)
+	if err != nil {
+		return err
+	}
+	if e, _ := Lookup(req.Experiment); e.text != nil {
+		e.text(w, req, docs)
+		return nil
+	}
+	for _, d := range docs {
+		fmt.Fprintln(w, d)
 	}
 	return nil
 }
 
-// execSLS renders the straight-line-speculation cell (Table 1,
-// footnote c) exactly like `phantom sls`.
-func execSLS(ctx context.Context, w io.Writer, req Request, archs []phantom.Microarch) error {
+// Evaluate normalizes and runs one request and returns its result
+// documents: the values Execute renders as text, and that `phantom
+// <experiment> -json` encodes as one JSON value each.
+func Evaluate(ctx context.Context, req Request, jobs int) ([]any, error) {
+	req, err := req.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	e, _ := Lookup(req.Experiment)
+	return e.run(ctx, req, jobs)
+}
+
+// each wraps a result slice as documents, one per element.
+func each[T any](xs []T, err error) ([]any, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]any, len(xs))
+	for i, x := range xs {
+		out[i] = x
+	}
+	return out, nil
+}
+
+// one wraps a single result as the only document.
+func one[T any](v T, err error) ([]any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []any{v}, nil
+}
+
+// perArch evaluates f on each requested arch in order, one document
+// per arch, stopping between arches once ctx is done.
+func perArch[T any](ctx context.Context, req Request, f func(phantom.Microarch) (T, error)) ([]any, error) {
+	out := make([]any, 0, len(req.Archs))
+	for _, a := range microarchs(req.Archs) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		v, err := f(a)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// covertResult is Table 2: both covert channels of one request. The
+// fields are in the order encoding/json used for the map it replaces,
+// so -json output is unchanged.
+type covertResult struct {
+	Execute []phantom.Table2Row `json:"execute"`
+	Fetch   []phantom.Table2Row `json:"fetch"`
+}
+
+func derandOptions(ctx context.Context, req Request, jobs int) phantom.DerandOptions {
+	return phantom.DerandOptions{Context: ctx, Seed: req.Seed, Runs: req.Runs, Jobs: jobs}
+}
+
+// derandText renders a derandomization table; title takes the run
+// count.
+func derandText(title string) func(io.Writer, Request, []any) {
+	return func(w io.Writer, req Request, docs []any) {
+		fmt.Fprint(w, phantom.FormatDerand(fmt.Sprintf(title, req.Runs), docs[0].([]phantom.DerandRow)))
+	}
+}
+
+// slsCell is one arch's straight-line-speculation cell of Table 1.
+type slsCell struct {
+	arch  phantom.Microarch
+	reach phantom.StageReach
+}
+
+// runSLS measures the straight-line-speculation cell (Table 1,
+// footnote c): the non-branch-trained ret victim.
+func runSLS(ctx context.Context, req Request, _ int) ([]any, error) {
+	return perArch(ctx, req, func(a phantom.Microarch) (slsCell, error) {
+		tb, err := phantom.RunTable1(a, phantom.Table1Options{Context: ctx, Seed: req.Seed, Trials: 4})
+		if err != nil {
+			return slsCell{}, err
+		}
+		c := slsCell{arch: a}
+		for _, row := range tb.Cells {
+			for _, cell := range row {
+				if cell.Training == "non-branch" && cell.Victim == "ret" {
+					c.reach = cell.Reach
+				}
+			}
+		}
+		return c, nil
+	})
+}
+
+func textSLS(w io.Writer, _ Request, docs []any) {
 	fmt.Fprintln(w, "Straight-line speculation past an unpredicted return (Spectre-SLS,")
 	fmt.Fprintln(w, "Table 1 footnote c): the sequential bytes after a ret execute")
 	fmt.Fprintln(w, "transiently on AMD parts; Intel frontends stall instead.")
 	fmt.Fprintln(w)
-	for _, a := range archs {
-		tb, err := phantom.RunTable1(a, phantom.Table1Options{Context: ctx, Seed: req.Seed, Trials: 4})
-		if err != nil {
-			return err
-		}
-		var reach phantom.StageReach
-		for _, row := range tb.Cells {
-			for _, c := range row {
-				if c.Training == "non-branch" && c.Victim == "ret" {
-					reach = c.Reach
-				}
-			}
-		}
-		fmt.Fprintf(w, "  %-26s %v\n", a.ModelName(), reach)
+	for _, d := range docs {
+		c := d.(slsCell)
+		fmt.Fprintf(w, "  %-26s %v\n", c.arch.ModelName(), c.reach)
 	}
-	return nil
 }
 
-// execChain renders the full Section 7 exploit chain exactly like
-// `phantom chain`.
-func execChain(ctx context.Context, w io.Writer, req Request, archs []phantom.Microarch) error {
-	for _, a := range archs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+// chainRun is the full Section 7 exploit chain on one boot.
+type chainRun struct {
+	arch                 phantom.Microarch
+	image, physmap, page *phantom.KASLRResult
+	secretVA             uint64
+	secret               []byte
+	leak                 *phantom.LeakResult
+	// leakErr is the leak step coming up empty on this boot: a chain
+	// result, not a harness error — steps 1-3 likewise report
+	// correct=false rather than aborting.
+	leakErr error
+}
+
+func runChain(ctx context.Context, req Request, _ int) ([]any, error) {
+	return perArch(ctx, req, func(a phantom.Microarch) (*chainRun, error) {
 		sys, err := phantom.NewSystem(a, phantom.SystemConfig{Seed: req.Seed})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprintf(w, "=== Full exploit chain on %s (seed %d) ===\n", a.ModelName(), req.Seed)
-		img, err := sys.BreakImageKASLR()
-		if err != nil {
-			return err
+		c := &chainRun{arch: a}
+		if c.image, err = sys.BreakImageKASLR(); err != nil {
+			return nil, err
 		}
-		fmt.Fprintf(w, "1. kernel image:  %#x  correct=%v  (%.4fs sim)\n", img.Guess, img.Correct, img.Seconds)
-		pm, err := sys.BreakPhysmapKASLR(img.Guess)
-		if err != nil {
-			return err
+		if c.physmap, err = sys.BreakPhysmapKASLR(c.image.Guess); err != nil {
+			return nil, err
 		}
-		fmt.Fprintf(w, "2. physmap:       %#x  correct=%v  (%.4fs sim)\n", pm.Guess, pm.Correct, pm.Seconds)
-		pa, err := sys.FindPhysAddr(img.Guess, pm.Guess)
-		if err != nil {
-			return err
+		if c.page, err = sys.FindPhysAddr(c.image.Guess, c.physmap.Guess); err != nil {
+			return nil, err
 		}
-		fmt.Fprintf(w, "3. page phys:     %#x  correct=%v  (%.4fs sim)\n", pa.Guess, pa.Correct, pa.Seconds)
-		secretVA, secret := sys.SecretAddr()
-		leak, err := sys.LeakKernelMemory(secretVA, 64)
-		if err != nil {
-			// An exploit coming up empty on one boot is a chain result,
-			// not a harness error — steps 1-3 likewise report
-			// correct=false rather than aborting.
-			fmt.Fprintf(w, "4. leak @ %#x: failed on this boot: %v\n", secretVA, err)
+		c.secretVA, c.secret = sys.SecretAddr()
+		c.leak, c.leakErr = sys.LeakKernelMemory(c.secretVA, 64)
+		return c, nil
+	})
+}
+
+func textChain(w io.Writer, req Request, docs []any) {
+	for _, d := range docs {
+		c := d.(*chainRun)
+		fmt.Fprintf(w, "=== Full exploit chain on %s (seed %d) ===\n", c.arch.ModelName(), req.Seed)
+		fmt.Fprintf(w, "1. kernel image:  %#x  correct=%v  (%.4fs sim)\n", c.image.Guess, c.image.Correct, c.image.Seconds)
+		fmt.Fprintf(w, "2. physmap:       %#x  correct=%v  (%.4fs sim)\n", c.physmap.Guess, c.physmap.Correct, c.physmap.Seconds)
+		fmt.Fprintf(w, "3. page phys:     %#x  correct=%v  (%.4fs sim)\n", c.page.Guess, c.page.Correct, c.page.Seconds)
+		if c.leakErr != nil {
+			fmt.Fprintf(w, "4. leak @ %#x: failed on this boot: %v\n", c.secretVA, c.leakErr)
 			continue
 		}
-		fmt.Fprintf(w, "4. leak @ %#x: accuracy %.2f%%, %.0f B/s sim\n", secretVA, leak.AccuracyPct, leak.BytesPerSecond)
-		fmt.Fprintf(w, "   leaked: % x\n", clip(leak.Leaked, 16))
-		fmt.Fprintf(w, "   truth:  % x\n", clip(secret, 16))
+		fmt.Fprintf(w, "4. leak @ %#x: accuracy %.2f%%, %.0f B/s sim\n", c.secretVA, c.leak.AccuracyPct, c.leak.BytesPerSecond)
+		fmt.Fprintf(w, "   leaked: % x\n", clip(c.leak.Leaked, 16))
+		fmt.Fprintf(w, "   truth:  % x\n", clip(c.secret, 16))
 	}
-	return nil
 }
 
 // clip returns at most the first n bytes of b, so a short leak result

@@ -8,40 +8,29 @@ import (
 	"time"
 )
 
-// TestExecuteAllExperiments smoke-runs every servable experiment at
-// tiny scale through the shared rendering engine and sanity-checks the
-// text each one produces. Correctness of the numbers is pinned by the
-// package tests and goldens; this test is about the serving surface —
-// every catalog entry must actually execute and render.
-func TestExecuteAllExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
+// TestExecuteNormalizes checks Execute canonicalizes a raw request
+// itself: a library caller that skips Normalize gets the same bytes as
+// the normalized request, and a negative field is an error rather than
+// a panic deep in the simulator.
+func TestExecuteNormalizes(t *testing.T) {
+	raw := Request{Experiment: "table1", Archs: []string{"zen2", "zen2"}, Trials: 2}
+	var got, want bytes.Buffer
+	if err := Execute(context.Background(), &got, raw, 1); err != nil {
+		t.Fatal(err)
 	}
-	cases := []struct {
-		req  Request
-		want string // substring the rendering must contain
-	}{
-		{Request{Experiment: "table1", Archs: []string{"zen2"}, Trials: 2}, "Table 1"},
-		{Request{Experiment: "fig6", Archs: []string{"zen2"}, Seed: 1}, "offset"},
-		{Request{Experiment: "fig7", Archs: []string{"zen3"}, Seed: 9, Samples: 22}, "BTB"},
-		{Request{Experiment: "covert", Archs: []string{"zen2"}, Bits: 16, Runs: 1}, "Table 2"},
-		{Request{Experiment: "kaslr", Archs: []string{"zen2"}, Runs: 1}, "Table 3"},
-		{Request{Experiment: "physmap", Archs: []string{"zen1"}, Runs: 1}, "Table 4"},
-		{Request{Experiment: "physaddr", Runs: 1}, "Table 5"},
-		{Request{Experiment: "mds", Archs: []string{"zen2"}, Runs: 1, Bytes: 64}, "MDS"},
-		{Request{Experiment: "mitigations", Archs: []string{"zen1"}}, "mitigation"},
-		{Request{Experiment: "sls", Archs: []string{"zen1"}}, "Straight-line speculation"},
-		{Request{Experiment: "chain", Archs: []string{"zen2"}}, "Full exploit chain"},
-		{Request{Experiment: "report", Runs: 1, Bits: 16}, "Phantom reproduction report"},
+	if err := Execute(context.Background(), &want, mustNormalize(t, raw), 1); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		var buf bytes.Buffer
-		if err := Execute(context.Background(), &buf, c.req, 0); err != nil {
-			t.Errorf("%s: %v", c.req.Experiment, err)
-			continue
-		}
-		if out := buf.String(); !strings.Contains(strings.ToLower(out), strings.ToLower(c.want)) {
-			t.Errorf("%s: rendering does not mention %q:\n%s", c.req.Experiment, c.want, out)
+	if got.String() != want.String() {
+		t.Errorf("raw request renders differently from its normalized form:\nraw:\n%s\nnormalized:\n%s", &got, &want)
+	}
+	for _, bad := range []Request{
+		{Experiment: "kaslr", Runs: -1},
+		{Experiment: "covert", Bits: -5},
+	} {
+		err := Execute(context.Background(), &got, bad, 1)
+		if err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("Execute(%+v) = %v, want a negative-field error", bad, err)
 		}
 	}
 }

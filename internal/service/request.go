@@ -75,48 +75,6 @@ type Request struct {
 	Samples int `json:"samples,omitempty"`
 }
 
-// experimentDef drives normalization: which fields an experiment
-// consumes, their defaults, and how heavy one evaluation is.
-type experimentDef struct {
-	// defaultArchs is the CLI's -arch default, already canonical. Nil
-	// means the experiment takes no arch list (physaddr, report).
-	defaultArchs []string
-	defaultSeed  int64
-	// usesX gates + defaults: a field an experiment does not consume is
-	// forced to zero by Normalize so it cannot split the cache.
-	trials, noise  bool
-	defaultRuns    int // 0 = experiment takes no runs field
-	defaultBits    int
-	defaultBytes   int
-	defaultSamples int
-	// timeoutWeight scales the server's per-experiment deadline (see
-	// Config.BaseTimeout): heavier experiments get proportionally more.
-	timeoutWeight int
-	// separable marks experiments whose Execute path renders each arch
-	// independently with identical options, so a multi-arch request is
-	// byte-identical to its per-arch sub-requests concatenated in
-	// canonical order. The cluster tier fans these out across peers;
-	// anything else routes as one unit.
-	separable bool
-}
-
-// experiments is the catalog of servable experiments. Defaults mirror
-// the CLI flag defaults exactly; the parity tests depend on that.
-var experiments = map[string]experimentDef{
-	"table1":      {defaultArchs: archAll, defaultSeed: 1, trials: true, noise: true, timeoutWeight: 2, separable: true},
-	"fig6":        {defaultArchs: []string{"zen2", "zen4"}, defaultSeed: 1, timeoutWeight: 1},
-	"fig7":        {defaultArchs: []string{"zen3"}, defaultSeed: 9, defaultSamples: 22, timeoutWeight: 4},
-	"covert":      {defaultArchs: archAMD, defaultSeed: 1, defaultRuns: 10, defaultBits: 4096, timeoutWeight: 3},
-	"kaslr":       {defaultArchs: []string{"zen2", "zen3", "zen4"}, defaultSeed: 1, defaultRuns: 20, timeoutWeight: 3},
-	"physmap":     {defaultArchs: []string{"zen1", "zen2"}, defaultSeed: 1, defaultRuns: 10, timeoutWeight: 3},
-	"physaddr":    {defaultSeed: 1, defaultRuns: 20, timeoutWeight: 4},
-	"mds":         {defaultArchs: []string{"zen2"}, defaultSeed: 1, defaultRuns: 10, defaultBytes: 4096, timeoutWeight: 4, separable: true},
-	"mitigations": {defaultArchs: archAMD, defaultSeed: 1, timeoutWeight: 2, separable: true},
-	"sls":         {defaultArchs: archAll, defaultSeed: 1, timeoutWeight: 2},
-	"chain":       {defaultArchs: []string{"zen2"}, defaultSeed: 1, timeoutWeight: 3, separable: true},
-	"report":      {defaultSeed: 1, defaultRuns: 10, defaultBits: 1024, timeoutWeight: 10},
-}
-
 var (
 	archAll = archNames(phantom.AllMicroarchs())
 	archAMD = archNames(phantom.AMDMicroarchs())
@@ -139,93 +97,66 @@ func archNames(archs []phantom.Microarch) []string {
 	return out
 }
 
-// Experiments lists the servable experiment names in sorted order (the
-// /v1/arches handler and usage texts).
-func Experiments() []string {
-	out := make([]string, 0, len(experiments))
-	for name := range experiments {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Normalize validates req and returns its canonical form: aliases
 // expanded, duplicates dropped, archs in paper order, every
-// experiment-relevant zero field replaced by its documented default and
-// every irrelevant field forced to zero. Two requests that would render
-// the same output normalize to the same value, so Key — and the content
-// address of the result — is well defined.
+// experiment-relevant zero field replaced by its registry default and
+// every irrelevant field forced to zero. A negative field is rejected
+// whether or not the experiment consumes it. Two requests that would
+// render the same output normalize to the same value, so Key — and the
+// content address of the result — is well defined.
 func (r Request) Normalize() (Request, error) {
-	def, ok := experiments[r.Experiment]
+	e, ok := Lookup(r.Experiment)
 	if !ok {
 		return Request{}, fmt.Errorf("unknown experiment %q", r.Experiment)
 	}
-	n := Request{Experiment: r.Experiment}
-
-	if def.defaultArchs == nil {
+	n := Request{Experiment: r.Experiment, Seed: r.Seed}
+	if n.Seed == 0 {
+		n.Seed = e.Seed
+	}
+	switch {
+	case e.Archs == nil:
 		if len(r.Archs) != 0 {
 			return Request{}, fmt.Errorf("experiment %q takes no arch list", r.Experiment)
 		}
-	} else if len(r.Archs) == 0 {
-		n.Archs = append([]string(nil), def.defaultArchs...)
-	} else {
+	case len(r.Archs) == 0:
+		n.Archs, _ = expandArchs(e.Archs)
+	default:
 		archs, err := expandArchs(r.Archs)
 		if err != nil {
 			return Request{}, err
 		}
 		n.Archs = archs
 	}
-
-	n.Seed = r.Seed
-	if n.Seed == 0 {
-		n.Seed = def.defaultSeed
-	}
-	if def.trials {
-		n.Trials = r.Trials
-		if n.Trials == 0 {
-			n.Trials = 6
-		}
-	}
-	if def.noise {
-		n.Noise = r.Noise
-	}
-	if def.defaultRuns > 0 {
-		n.Runs = r.Runs
-		if n.Runs == 0 {
-			n.Runs = def.defaultRuns
-		}
-	}
-	if def.defaultBits > 0 {
-		n.Bits = r.Bits
-		if n.Bits == 0 {
-			n.Bits = def.defaultBits
-		}
-	}
-	if def.defaultBytes > 0 {
-		n.Bytes = r.Bytes
-		if n.Bytes == 0 {
-			n.Bytes = def.defaultBytes
-		}
-	}
-	if def.defaultSamples > 0 {
-		n.Samples = r.Samples
-		if n.Samples == 0 {
-			n.Samples = def.defaultSamples
-		}
-	}
-	for _, f := range []struct {
-		name string
-		bad  bool
-	}{
-		{"trials", n.Trials < 0}, {"noise", n.Noise < 0}, {"bits", n.Bits < 0},
-		{"runs", n.Runs < 0}, {"bytes", n.Bytes < 0}, {"samples", n.Samples < 0},
-	} {
-		if f.bad {
+	for _, f := range fields {
+		if negative(f.ptr(&r)) {
 			return Request{}, fmt.Errorf("negative %s", f.name)
 		}
 	}
+	for _, p := range e.Params {
+		switch v := p.Field(&n).(type) {
+		case *int:
+			if *v = *p.Field(&r).(*int); *v == 0 {
+				*v = int(p.Default)
+			}
+		case *float64:
+			if *v = *p.Field(&r).(*float64); *v == 0 {
+				*v = p.Default
+			}
+		}
+	}
 	return n, nil
+}
+
+// negative reports whether the *int or *float64 field v points at holds
+// a negative value.
+func negative(v any) bool {
+	switch v := v.(type) {
+	case *int:
+		return *v < 0
+	case *float64:
+		return *v < 0
+	}
+	return false
 }
 
 // expandArchs resolves aliases, validates names, dedupes, and sorts
@@ -303,7 +234,8 @@ func (r Request) Key() string {
 // server's base timeout: heavier experiments (fig7's solver, the full
 // report) get proportionally longer before the scheduler cancels them.
 func (r Request) Timeout(base time.Duration) time.Duration {
-	w := experiments[r.Experiment].timeoutWeight
+	e, _ := Lookup(r.Experiment)
+	w := e.weight
 	if w <= 0 {
 		w = 1
 	}

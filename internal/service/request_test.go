@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +105,7 @@ func TestNormalizeErrors(t *testing.T) {
 		{"negative runs", Request{Experiment: "kaslr", Runs: -1}, "negative runs"},
 		{"negative trials", Request{Experiment: "table1", Trials: -2}, "negative trials"},
 		{"negative noise", Request{Experiment: "table1", Noise: -0.5}, "negative noise"},
+		{"negative unconsumed field", Request{Experiment: "kaslr", Bits: -5}, "negative bits"},
 	}
 	for _, c := range cases {
 		_, err := c.req.Normalize()
@@ -115,8 +117,8 @@ func TestNormalizeErrors(t *testing.T) {
 
 func TestExperimentsListsCatalog(t *testing.T) {
 	names := Experiments()
-	if len(names) != len(experiments) {
-		t.Fatalf("Experiments() has %d names, catalog %d", len(names), len(experiments))
+	if len(names) != len(registry) {
+		t.Fatalf("Experiments() has %d names, registry %d", len(names), len(registry))
 	}
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
@@ -159,4 +161,44 @@ func TestClipGuardsShortLeaks(t *testing.T) {
 	if got := clip(nil, 16); got != nil {
 		t.Errorf("clip(nil, 16) = %v", got)
 	}
+}
+
+// FuzzNormalize checks request canonicalization on arbitrary input:
+// Normalize never panics, rejects every negative size field, and is a
+// fixpoint — normalizing its own result changes neither the request
+// nor its Key. Run it with `make fuzz-normalize`.
+func FuzzNormalize(f *testing.F) {
+	for _, e := range registry {
+		f.Add(e.Name, strings.Join(e.Archs, ","), e.Seed, 0, 0.0, 0, 0, 0, 0)
+	}
+	f.Add("table1", "all,amd", int64(0), 2, 0.5, 0, 0, 0, 0)
+	f.Add("covert", "zen2,amd,zen2", int64(3), 0, 0.0, 16, 1, 0, 0)
+	f.Add("kaslr", "zen4,zen2", int64(-7), 0, 0.0, -5, -1, 0, 0)
+	f.Add("physaddr", "zen2", int64(1), 0, 0.0, 0, 1, 0, 0)
+	f.Fuzz(func(t *testing.T, exp, archs string, seed int64, trials int, noise float64, bits, runs, bytes, samples int) {
+		r := Request{Experiment: exp, Seed: seed, Trials: trials, Noise: noise,
+			Bits: bits, Runs: runs, Bytes: bytes, Samples: samples}
+		if archs != "" {
+			r.Archs = strings.Split(archs, ",")
+		}
+		n, err := r.Normalize()
+		if trials < 0 || noise < 0 || bits < 0 || runs < 0 || bytes < 0 || samples < 0 {
+			if err == nil {
+				t.Fatalf("Normalize(%+v) accepted a negative field: %+v", r, n)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		again, err := n.Normalize()
+		if err != nil {
+			t.Fatalf("Normalize rejects its own result %+v: %v", n, err)
+		}
+		// %#v rather than reflect.DeepEqual: a NaN noise never equals
+		// itself, but it prints (and hashes) the same.
+		if fmt.Sprintf("%#v", again) != fmt.Sprintf("%#v", n) || again.Key() != n.Key() {
+			t.Fatalf("Normalize is not a fixpoint:\nonce:  %#v\ntwice: %#v", n, again)
+		}
+	})
 }

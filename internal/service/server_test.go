@@ -373,7 +373,7 @@ func TestArchesEndpoint(t *testing.T) {
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Arches) != 8 || len(out.Aliases["amd"]) != 4 || len(out.Experiments) != len(experiments) {
+	if len(out.Arches) != 8 || len(out.Aliases["amd"]) != 4 || len(out.Experiments) != len(registry) {
 		t.Errorf("arches payload = %+v", out)
 	}
 }

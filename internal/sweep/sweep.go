@@ -74,13 +74,16 @@ func (o Options) workers(n int) int {
 //
 // The first error cancels the context handed to the remaining jobs;
 // Run then reports the lowest-index non-cancellation error (or, if
-// every failure is a cancellation, the first of those). On error the
-// results are nil.
-func Run[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// every failure is a cancellation, the first of those). If the parent
+// context is done by the time the workers drain, Run reports the
+// parent's error even when every job returned a result: a job that
+// ignores its context cannot turn an expired deadline into success.
+// On error the results are nil.
+func Run[T any](parent context.Context, n int, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
-		return nil, ctx.Err()
+		return nil, parent.Err()
 	}
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
 	obs := opts.Observer
@@ -125,6 +128,9 @@ func Run[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 	close(jobs)
 	wg.Wait()
 
+	if err := parent.Err(); err != nil {
+		return nil, err
+	}
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}

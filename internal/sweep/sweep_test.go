@@ -128,6 +128,22 @@ func TestRunParentCancellation(t *testing.T) {
 	}
 }
 
+// TestRunParentDeadlineBeatsResults pins that an expired parent
+// deadline is reported even when every job ignores its context and
+// returns a result after the deadline.
+func TestRunParentDeadlineBeatsResults(t *testing.T) {
+	parent, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	got, err := Run(parent, 2, Options{Jobs: 2},
+		func(_ context.Context, i int) (int, error) {
+			<-parent.Done() // outlive the deadline, then report success
+			return i, nil
+		})
+	if !errors.Is(err, context.DeadlineExceeded) || got != nil {
+		t.Fatalf("got %v, %v; want nil, context.DeadlineExceeded", got, err)
+	}
+}
+
 func TestRunZeroJobsReturnsNil(t *testing.T) {
 	got, err := Run(context.Background(), 0, Options{},
 		func(_ context.Context, i int) (int, error) { t.Fatal("called"); return 0, nil })

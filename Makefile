@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode fuzz-normalize search-smoke search-nightly
+.PHONY: build test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode fuzz-normalize fuzz-store search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -95,6 +95,11 @@ fuzz-decode:
 # never panics, rejects negative fields, and is a fixpoint.
 fuzz-normalize:
 	$(GO) test -run '^$$' -fuzz FuzzNormalize -fuzztime 30s ./internal/service
+
+# The store-recovery fuzzer on the same budget: arbitrary segment bytes
+# never panic Open, and Get never serves a record whose CRC failed.
+fuzz-store:
+	$(GO) test -run '^$$' -fuzz FuzzStoreOpen -fuzztime 30s ./internal/store
 
 # A ~2s slice of the attack-variant search (differential fuzzing of the
 # speculation model): generates, diffs, classifies, and minimizes at a

@@ -29,7 +29,7 @@ import (
 func benchTable1(b *testing.B, arch Microarch) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tb, err := RunTable1(arch, Table1Options{Seed: int64(i), Trials: 3})
+		tb, err := RunTable1(arch, Options{Seed: int64(i), Trials: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,12 +47,12 @@ func BenchmarkTable1_Intel13(b *testing.B) { benchTable1(b, Intel13) }
 func benchFig6(b *testing.B, arch Microarch) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := RunFig6(arch, int64(i))
+		s, err := RunFig6([]Microarch{arch}, Options{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		signal := 0
-		for _, p := range s.Points {
+		for _, p := range s[0].Points {
 			signal += p.Misses
 		}
 		if signal == 0 {
@@ -67,11 +67,11 @@ func BenchmarkFig6_Zen4(b *testing.B) { benchFig6(b, Zen4) }
 func BenchmarkFig7_BruteForceZen2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f, err := RunFig7(Zen2, Fig7Options{Seed: int64(i), Samples: 4, MaxBatches: 200, BruteBudget: 20000})
+		f, err := RunFig7([]Microarch{Zen2}, Options{Seed: int64(i), Samples: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !f.BruteForceFound {
+		if !f[0].BruteForceFound {
 			b.Fatal("brute force failed")
 		}
 	}
@@ -80,22 +80,22 @@ func BenchmarkFig7_BruteForceZen2(b *testing.B) {
 func BenchmarkFig7_RecoveryZen3(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f, err := RunFig7(Zen3, Fig7Options{Seed: int64(i) + 9, BruteBudget: 500})
+		f, err := RunFig7([]Microarch{Zen3}, Options{Seed: int64(i) + 9})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(f.Functions) < 12 {
-			b.Fatalf("recovered only %d functions", len(f.Functions))
+		if len(f[0].Functions) < 12 {
+			b.Fatalf("recovered only %d functions", len(f[0].Functions))
 		}
 	}
 }
 
 func benchCovert(b *testing.B, arch Microarch,
-	run func([]Microarch, Table2Options) ([]Table2Row, error)) {
+	run func([]Microarch, Options) ([]Table2Row, error)) {
 	b.ReportAllocs()
 	var acc, rate float64
 	for i := 0; i < b.N; i++ {
-		rows, err := run([]Microarch{arch}, Table2Options{Seed: int64(i), Bits: 1024, Runs: 1})
+		rows, err := run([]Microarch{arch}, Options{Seed: int64(i), Bits: 1024, Runs: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func BenchmarkSec74_MDSLeak(b *testing.B) {
 func BenchmarkSec63_SuppressOverhead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMitigations(Zen2, int64(i))
+		m, err := RunMitigations(Zen2, Options{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func BenchmarkSec63_SuppressOverhead(b *testing.B) {
 func BenchmarkSec63_AutoIBRS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMitigations(Zen4, int64(i))
+		m, err := RunMitigations(Zen4, Options{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func benchTable3Sweep(b *testing.B, jobs int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rows, err := RunTable3([]Microarch{Zen2, Zen3, Zen4},
-			DerandOptions{Seed: int64(i), Runs: 8, Jobs: jobs})
+			Options{Seed: int64(i), Runs: 8, Jobs: jobs})
 		if err != nil {
 			b.Fatal(err)
 		}

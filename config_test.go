@@ -1,6 +1,30 @@
 package phantom
 
-import "testing"
+import (
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestOptionsSurface pins every exported field of the library's settings
+// types against testdata/options.golden, so a new knob shows up as a
+// reviewed golden diff. Refresh intentionally with:
+//
+//	go test -run TestOptionsSurface -update .
+func TestOptionsSurface(t *testing.T) {
+	var b strings.Builder
+	for _, v := range []any{Options{}, ReportOptions{}, SystemConfig{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				fmt.Fprintf(&b, "%s.%s %s\n", typ.Name(), f.Name, f.Type)
+			}
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "options.golden"), []byte(b.String()))
+}
 
 // TestNewSystemNoiseMatrix pins the SystemConfig noise semantics:
 // Deterministic disables all injected noise even when a NoiseLevel is

@@ -47,7 +47,7 @@ func ExampleSystem_LeakKernelMemory() {
 // versus Zen 4 (two cells of Table 1).
 func ExampleRunTable1() {
 	for _, arch := range []phantom.Microarch{phantom.Zen2, phantom.Zen4} {
-		tb, err := phantom.RunTable1(arch, phantom.Table1Options{Seed: 1, Trials: 3})
+		tb, err := phantom.RunTable1(arch, phantom.Options{Seed: 1, Trials: 3})
 		if err != nil {
 			panic(err)
 		}
@@ -68,7 +68,7 @@ func ExampleRunTable1() {
 // The mitigation picture of Section 6.3 on Zen 4: AutoIBRS refuses to
 // steer by cross-privilege predictions yet still prefetches their targets.
 func ExampleRunMitigations() {
-	m, err := phantom.RunMitigations(phantom.Zen4, 1)
+	m, err := phantom.RunMitigations(phantom.Zen4, phantom.Options{Seed: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	opts := phantom.Table2Options{Seed: 42, Bits: 1024, Runs: 3}
+	opts := phantom.Options{Seed: 42, Bits: 1024, Runs: 3}
 
 	fetch, err := phantom.RunTable2Fetch(phantom.AMDMicroarchs(), opts)
 	if err != nil {

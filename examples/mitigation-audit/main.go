@@ -21,7 +21,7 @@ import (
 
 func main() {
 	for _, arch := range phantom.AMDMicroarchs() {
-		rep, err := phantom.RunMitigations(arch, 5)
+		rep, err := phantom.RunMitigations(arch, phantom.Options{Seed: 5})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	for _, arch := range phantom.AllMicroarchs() {
-		tb, err := phantom.RunTable1(arch, phantom.Table1Options{Seed: 1, Trials: 4})
+		tb, err := phantom.RunTable1(arch, phantom.Options{Seed: 1, Trials: 4})
 		if err != nil {
 			log.Fatal(err)
 		}

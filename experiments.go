@@ -12,17 +12,59 @@ import (
 	"phantom/internal/uarch"
 )
 
-// optionsContext resolves the optional Context field every experiment
-// options struct carries: nil means context.Background(), exactly like
-// the pre-context API. The serving layer (internal/service) sets it so
+// Options is the one settings value every experiment takes. A zero
+// field means the experiment's documented default, and an experiment
+// ignores the fields it does not use — the same contract as a
+// service.Request, whose normalized fields map onto these one to one.
+type Options struct {
+	// Context, when non-nil, bounds the run: cancellation or a deadline
+	// aborts the remaining sweep jobs (or Table 1 cells, or Figure 7
+	// stages). Nil means context.Background().
+	Context context.Context
+	// Seed drives every boot and channel of the run; per-run seeds are
+	// derived from it arithmetically, so the same seed renders the same
+	// bytes at any Jobs.
+	Seed int64
+	// Jobs sizes the worker pool of the sweep-backed experiments; 0 =
+	// GOMAXPROCS, 1 = sequential. It never changes the output.
+	Jobs int
+	// Trials per Table 1 cell; 0 = 6.
+	Trials int
+	// Noise is Table 1's machine noise level; 0 = noiseless (lab
+	// conditions, as in Section 5).
+	Noise float64
+	// Bits per covert-channel run; 0 = 4096, the paper's message size
+	// (GenerateReport: 1024).
+	Bits int
+	// Runs (reboots) per measurement; 0 = the paper's count: 10 for
+	// Table 2, Table 4 and the MDS leak, 20 for Tables 3 and 5
+	// (GenerateReport: 10).
+	Runs int
+	// Bytes to leak per MDS run; 0 = 4096, as the paper leaks.
+	Bytes int
+	// Samples is how many independent collisions Figure 7 gathers; 0 =
+	// 22 (full rank).
+	Samples int
+}
+
+// ctx resolves the optional Context field: nil means
+// context.Background(). The serving layer (internal/service) sets it so
 // request deadlines and client disconnects cancel the sweep jobs a
 // request is paying for; the CLI sets it so an interrupt cancels
 // mid-sweep instead of killing the process with the run log unflushed.
-func optionsContext(ctx context.Context) context.Context {
-	if ctx == nil {
+func (o Options) ctx() context.Context {
+	if o.Context == nil {
 		return context.Background()
 	}
-	return ctx
+	return o.Context
+}
+
+// runsOr returns o.Runs, or def when it is zero.
+func (o Options) runsOr(def int) int {
+	if o.Runs == 0 {
+		return def
+	}
+	return o.Runs
 }
 
 // sweepOpts builds the worker-pool options for a named sweep, attaching
@@ -72,32 +114,18 @@ type Table1 struct {
 	Cells [][]Table1Cell
 }
 
-// Table1Options tunes the experiment.
-type Table1Options struct {
-	// Context, when non-nil, bounds the run: cancellation or a deadline
-	// aborts between cells. Nil means context.Background().
-	Context context.Context
-	Seed    int64
-	Trials  int     // per-cell trials; 0 = 6
-	Noise   float64 // 0 = noiseless (lab conditions, as in Section 5)
-	// DisablePredecode runs the cells on the byte-at-a-time reference
-	// fetch path (see SystemConfig.DisablePredecode).
-	DisablePredecode bool
-}
-
 // RunTable1 reproduces Table 1 for one microarchitecture: all asymmetric
 // training/victim branch-type combinations, measured through the
 // IF (I-cache timing), ID (µop-cache counters) and EX (D-cache timing)
-// observation channels.
-func RunTable1(arch Microarch, opts Table1Options) (*Table1, error) {
+// observation channels. It uses Seed, Trials and Noise.
+func RunTable1(arch Microarch, opts Options) (*Table1, error) {
 	p, err := arch.profile()
 	if err != nil {
 		return nil, err
 	}
 	res, err := core.RunMatrix(p, core.MatrixConfig{
-		Ctx:  optionsContext(opts.Context),
+		Ctx:  opts.ctx(),
 		Seed: opts.Seed, Trials: opts.Trials, Noise: opts.Noise,
-		DisablePredecode: opts.DisablePredecode,
 	})
 	if err != nil {
 		return nil, err
@@ -162,40 +190,27 @@ type Fig6Series struct {
 	SeriesOffset uint64
 }
 
-// RunFig6Sweep reproduces Figure 6 on several microarchitectures at
-// once, fanning the per-arch sweeps over a worker pool of the given
-// size (0 = GOMAXPROCS). The series come back in archs order, identical
-// to running RunFig6 serially.
-func RunFig6Sweep(archs []Microarch, seed int64, jobs int) ([]*Fig6Series, error) {
-	return RunFig6SweepCtx(nil, archs, seed, jobs)
-}
-
-// RunFig6SweepCtx is RunFig6Sweep bounded by a context: cancellation or
-// an expired deadline aborts the remaining per-arch jobs. A nil ctx
-// means context.Background().
-func RunFig6SweepCtx(ctx context.Context, archs []Microarch, seed int64, jobs int) ([]*Fig6Series, error) {
-	return sweep.Run(optionsContext(ctx), len(archs), sweepOpts("fig6", len(archs), jobs),
+// RunFig6 reproduces Figure 6 (detecting speculative decode) on each
+// microarchitecture — the paper plots Zen 2 and Zen 4 — fanning the
+// per-arch sweeps over the worker pool. It uses Seed and Jobs. The
+// series come back in archs order, identical at every pool size.
+func RunFig6(archs []Microarch, opts Options) ([]*Fig6Series, error) {
+	return sweep.Run(opts.ctx(), len(archs), sweepOpts("fig6", len(archs), opts.Jobs),
 		func(_ context.Context, i int) (*Fig6Series, error) {
-			return RunFig6(archs[i], seed)
+			p, err := archs[i].profile()
+			if err != nil {
+				return nil, err
+			}
+			pts, err := core.RunFig6(p, core.Fig6Config{Seed: opts.Seed})
+			if err != nil {
+				return nil, err
+			}
+			s := &Fig6Series{Arch: archs[i], SeriesOffset: 0xac0}
+			for _, pt := range pts {
+				s.Points = append(s.Points, Fig6Point{Offset: pt.Offset, Hits: pt.Hits, Misses: pt.Misses})
+			}
+			return s, nil
 		})
-}
-
-// RunFig6 reproduces Figure 6 (detecting speculative decode) for one
-// microarchitecture; the paper plots Zen 2 and Zen 4.
-func RunFig6(arch Microarch, seed int64) (*Fig6Series, error) {
-	p, err := arch.profile()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := core.RunFig6(p, core.Fig6Config{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	s := &Fig6Series{Arch: arch, SeriesOffset: 0xac0}
-	for _, pt := range pts {
-		s.Points = append(s.Points, Fig6Point{Offset: pt.Offset, Hits: pt.Hits, Misses: pt.Misses})
-	}
-	return s, nil
 }
 
 // String renders an ASCII version of Figure 6 (misses per page offset).
@@ -218,9 +233,9 @@ func (s *Fig6Series) String() string {
 // Fig7 is the cross-privilege BTB function recovery of Section 6.2.
 type Fig7 struct {
 	Arch Microarch
-	// BruteForceFound reports whether flipping <= 6 bits produced any
-	// collision (true on Zen 1/2, false on Zen 3/4 — why the paper moved
-	// to a solver).
+	// BruteForceFound reports whether flipping <= bruteForceFlips bits
+	// produced any collision (true on Zen 1/2, false on Zen 3/4 — why
+	// the paper moved to a solver).
 	BruteForceFound  bool
 	BruteForceMask   uint64
 	BruteForceTested int
@@ -235,57 +250,46 @@ type Fig7 struct {
 	ExampleMask uint64
 }
 
-// Fig7Options tunes the recovery.
-type Fig7Options struct {
-	// Context, when non-nil, bounds the recovery; nil means
-	// context.Background().
-	Context         context.Context
-	Seed            int64
-	Samples         int // independent collisions to gather; 0 = 22 (full rank)
-	MaxBatches      int
-	BruteForceFlips int // 0 = 4
-	BruteBudget     int // candidate limit for the brute-force stage; 0 = 20000
-	Jobs            int // worker pool for RunFig7Sweep; 0 = GOMAXPROCS
-}
+// The Figure 7 brute-force stage flips up to bruteForceFlips bits of the
+// victim address and tries at most bruteBudget candidates.
+const (
+	bruteForceFlips = 4
+	bruteBudget     = 20000
+)
 
-// RunFig7Sweep runs the Figure 7 recovery on several microarchitectures
-// in parallel (opts.Jobs workers), returning results in archs order.
-func RunFig7Sweep(archs []Microarch, opts Fig7Options) ([]*Fig7, error) {
-	return sweep.Run(optionsContext(opts.Context), len(archs), sweepOpts("fig7", len(archs), opts.Jobs),
+// RunFig7 reproduces the Section 6.2 methodology on each
+// microarchitecture, in parallel on the worker pool, returning results
+// in archs order. It uses Seed, Samples and Jobs.
+func RunFig7(archs []Microarch, opts Options) ([]*Fig7, error) {
+	if opts.Samples == 0 {
+		opts.Samples = 22
+	}
+	return sweep.Run(opts.ctx(), len(archs), sweepOpts("fig7", len(archs), opts.Jobs),
 		func(ctx context.Context, i int) (*Fig7, error) {
-			o := opts
-			o.Context = ctx // the sweep-scoped context, so a failure elsewhere cancels this job's stages too
-			return RunFig7(archs[i], o)
+			// The sweep-scoped context, so a failure elsewhere cancels
+			// this job's stages too.
+			return runFig7(ctx, archs[i], opts)
 		})
 }
 
-// RunFig7 reproduces the Section 6.2 methodology on one microarchitecture:
-// brute force first, then batched random-collision sampling plus GF(2)
-// recovery of the index functions (the paper's Z3 step, solved exactly).
-func RunFig7(arch Microarch, opts Fig7Options) (*Fig7, error) {
+// runFig7 recovers one microarchitecture's functions: brute force first,
+// then batched random-collision sampling plus GF(2) recovery of the
+// index functions (the paper's Z3 step, solved exactly).
+func runFig7(ctx context.Context, arch Microarch, opts Options) (*Fig7, error) {
 	p, err := arch.profile()
 	if err != nil {
 		return nil, err
 	}
-	if opts.BruteForceFlips == 0 {
-		opts.BruteForceFlips = 4
-	}
-	if opts.BruteBudget == 0 {
-		opts.BruteBudget = 20000
-	}
-	if opts.Samples == 0 {
-		opts.Samples = 22
-	}
-	bf, err := core.BruteForceCollisions(p, opts.Seed, opts.BruteForceFlips, opts.BruteBudget)
+	bf, err := core.BruteForceCollisions(p, opts.Seed, bruteForceFlips, bruteBudget)
 	if err != nil {
 		return nil, err
 	}
 	// The two stages are independently long; honor a cancelled request
 	// between them rather than paying for the sampling stage too.
-	if err := optionsContext(opts.Context).Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rec, err := core.RecoverBTBFunctions(p, opts.Seed, opts.Samples, opts.MaxBatches)
+	rec, err := core.RecoverBTBFunctions(p, opts.Seed, opts.Samples, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +317,7 @@ func (f *Fig7) String() string {
 	fmt.Fprintf(&b, "Figure 7 — BTB function recovery on %s\n", f.Arch.ModelName())
 	if f.BruteForceFound {
 		fmt.Fprintf(&b, "  brute force (<=%d-bit flips): pattern %#x after %d candidates\n",
-			4, f.BruteForceMask, f.BruteForceTested)
+			bruteForceFlips, f.BruteForceMask, f.BruteForceTested)
 	} else {
 		fmt.Fprintf(&b, "  brute force: no collision in %d candidates (as the paper found on Zen 3)\n",
 			f.BruteForceTested)
@@ -340,54 +344,36 @@ type Table2Row struct {
 	Runs        int
 }
 
-// Table2Options tunes the covert-channel experiment.
-type Table2Options struct {
-	// Context, when non-nil, bounds the sweep: cancellation or a
-	// deadline aborts the remaining (arch, run) jobs. Nil means
-	// context.Background().
-	Context context.Context
-	Seed    int64
-	Bits    int // per run; 0 = 4096 (the paper's message size)
-	Runs    int // 0 = 10 (the paper reports the median of 10)
-	Jobs    int // parallel (arch, run) workers; 0 = GOMAXPROCS, 1 = sequential
-	// DisablePredecode runs the channels on the byte-at-a-time reference
-	// fetch path (see SystemConfig.DisablePredecode).
-	DisablePredecode bool
-}
-
 // RunTable2Fetch reproduces Table 2 (top): the P1 fetch covert channel on
-// the given microarchitectures.
-func RunTable2Fetch(archs []Microarch, opts Table2Options) ([]Table2Row, error) {
+// the given microarchitectures. It uses Seed, Bits, Runs and Jobs; the
+// paper reports the median of 10 runs.
+func RunTable2Fetch(archs []Microarch, opts Options) ([]Table2Row, error) {
 	return runTable2(archs, opts, core.RunCovertFetch)
 }
 
 // RunTable2Execute reproduces Table 2 (bottom): the P2 execute covert
-// channel (only AMD Zen 1/2 carry a signal).
-func RunTable2Execute(archs []Microarch, opts Table2Options) ([]Table2Row, error) {
+// channel (only AMD Zen 1/2 carry a signal). It uses the fields
+// RunTable2Fetch does.
+func RunTable2Execute(archs []Microarch, opts Options) ([]Table2Row, error) {
 	return runTable2(archs, opts, core.RunCovertExecute)
 }
 
-func runTable2(archs []Microarch, opts Table2Options,
+func runTable2(archs []Microarch, opts Options,
 	run func(p *uarch.Profile, cfg core.CovertConfig) (*core.CovertResult, error)) ([]Table2Row, error) {
-	if opts.Runs == 0 {
-		opts.Runs = 10
-	}
+	opts.Runs = opts.runsOr(10)
 	// Fan the (arch, run) grid over the worker pool. Each job boots an
 	// independent channel with an arithmetically derived seed, so results
 	// depend only on the job index and the parallel table is identical to
 	// the sequential one.
 	type sample struct{ acc, rate float64 }
-	samples, err := sweep.Run(optionsContext(opts.Context), len(archs)*opts.Runs, sweepOpts("table2", len(archs)*opts.Runs, opts.Jobs),
+	samples, err := sweep.Run(opts.ctx(), len(archs)*opts.Runs, sweepOpts("table2", len(archs)*opts.Runs, opts.Jobs),
 		func(_ context.Context, i int) (sample, error) {
 			arch, r := archs[i/opts.Runs], i%opts.Runs
 			p, err := arch.profile()
 			if err != nil {
 				return sample{}, err
 			}
-			res, err := run(p, core.CovertConfig{
-				Seed: opts.Seed + int64(r)*101, Bits: opts.Bits,
-				DisablePredecode: opts.DisablePredecode,
-			})
+			res, err := run(p, core.CovertConfig{Seed: opts.Seed + int64(r)*101, Bits: opts.Bits})
 			if err != nil {
 				return sample{}, err
 			}
@@ -444,20 +430,6 @@ type DerandRow struct {
 	Memory string
 }
 
-// DerandOptions tunes the multi-run derandomization experiments.
-type DerandOptions struct {
-	// Context, when non-nil, bounds the sweep: cancellation or a
-	// deadline aborts the remaining (config, reboot) jobs. Nil means
-	// context.Background().
-	Context context.Context
-	Seed    int64
-	Runs    int // reboots; 0 = 20 (paper: 100 for Table 3/5, 10 for Table 4)
-	Jobs    int // parallel (arch, reboot) workers; 0 = GOMAXPROCS, 1 = sequential
-	// DisablePredecode boots every system on the byte-at-a-time reference
-	// fetch path (see SystemConfig.DisablePredecode).
-	DisablePredecode bool
-}
-
 // derandRun is one reboot's outcome inside a Table 3-5 sweep.
 type derandRun struct {
 	correct bool
@@ -468,8 +440,8 @@ type derandRun struct {
 // configs × runs reboots — and returns the outcomes grouped by config,
 // reboots in run order. do must derive all randomness from its job
 // coordinates so the grouping is independent of the pool size.
-func sweepDerand(ctx context.Context, name string, n, runs, jobs int, do func(cfgIdx, r int) (derandRun, error)) ([][]derandRun, error) {
-	flat, err := sweep.Run(optionsContext(ctx), n*runs, sweepOpts(name, n*runs, jobs),
+func sweepDerand(opts Options, name string, n, runs int, do func(cfgIdx, r int) (derandRun, error)) ([][]derandRun, error) {
+	flat, err := sweep.Run(opts.ctx(), n*runs, sweepOpts(name, n*runs, opts.Jobs),
 		func(_ context.Context, i int) (derandRun, error) {
 			return do(i/runs, i%runs)
 		})
@@ -500,14 +472,12 @@ func foldDerand(arch Microarch, outcomes []derandRun) DerandRow {
 }
 
 // RunTable3 reproduces Table 3: kernel-image KASLR derandomization with
-// P1, rebooting (re-randomizing) before each run.
-func RunTable3(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
-	if opts.Runs == 0 {
-		opts.Runs = 20
-	}
-	grouped, err := sweepDerand(opts.Context, "table3", len(archs), opts.Runs, opts.Jobs,
+// P1, rebooting (re-randomizing) before each run. It uses Seed, Runs
+// (default 20; the paper ran 100) and Jobs.
+func RunTable3(archs []Microarch, opts Options) ([]DerandRow, error) {
+	grouped, err := sweepDerand(opts, "table3", len(archs), opts.runsOr(20),
 		func(ai, r int) (derandRun, error) {
-			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*31, DisablePredecode: opts.DisablePredecode})
+			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*31})
 			if err != nil {
 				return derandRun{}, err
 			}
@@ -528,14 +498,12 @@ func RunTable3(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 }
 
 // RunTable4 reproduces Table 4: physmap KASLR derandomization with P2 on
-// AMD Zen 1/2. Each run chains from a fresh image-KASLR break.
-func RunTable4(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
-	if opts.Runs == 0 {
-		opts.Runs = 10
-	}
-	grouped, err := sweepDerand(opts.Context, "table4", len(archs), opts.Runs, opts.Jobs,
+// AMD Zen 1/2. Each run chains from a fresh image-KASLR break. It uses
+// Seed, Runs (default 10, as in the paper) and Jobs.
+func RunTable4(archs []Microarch, opts Options) ([]DerandRow, error) {
+	grouped, err := sweepDerand(opts, "table4", len(archs), opts.runsOr(10),
 		func(ai, r int) (derandRun, error) {
-			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*37, DisablePredecode: opts.DisablePredecode})
+			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*37})
 			if err != nil {
 				return derandRun{}, err
 			}
@@ -561,11 +529,8 @@ func RunTable4(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 
 // RunTable5 reproduces Table 5: finding the physical address of an
 // attacker page, on the paper's memory configurations (8 GB Zen 1, 64 GB
-// Zen 2).
-func RunTable5(opts DerandOptions) ([]DerandRow, error) {
-	if opts.Runs == 0 {
-		opts.Runs = 20
-	}
+// Zen 2). It uses Seed, Runs (default 20; the paper ran 100) and Jobs.
+func RunTable5(opts Options) ([]DerandRow, error) {
 	configs := []struct {
 		arch Microarch
 		mem  uint64
@@ -573,10 +538,10 @@ func RunTable5(opts DerandOptions) ([]DerandRow, error) {
 		{Zen1, 8 << 30},
 		{Zen2, 64 << 30},
 	}
-	grouped, err := sweepDerand(opts.Context, "table5", len(configs), opts.Runs, opts.Jobs,
+	grouped, err := sweepDerand(opts, "table5", len(configs), opts.runsOr(20),
 		func(ci, r int) (derandRun, error) {
 			c := configs[ci]
-			sys, err := NewSystem(c.arch, SystemConfig{Seed: opts.Seed + int64(r)*41, PhysBytes: c.mem, DisablePredecode: opts.DisablePredecode})
+			sys, err := NewSystem(c.arch, SystemConfig{Seed: opts.Seed + int64(r)*41, PhysBytes: c.mem})
 			if err != nil {
 				return derandRun{}, err
 			}
@@ -635,30 +600,13 @@ type MDSReport struct {
 	MedianBytesSec float64
 }
 
-// MDSOptions tunes the Section 7.4 experiment.
-type MDSOptions struct {
-	// Context, when non-nil, bounds the sweep: cancellation or a
-	// deadline aborts the remaining reboot jobs. Nil means
-	// context.Background().
-	Context context.Context
-	Seed    int64
-	Runs    int // 0 = 10 (the paper's count)
-	Bytes   int // 0 = 4096 (the paper leaks 4096 bytes)
-	Jobs    int // parallel reboot workers; 0 = GOMAXPROCS, 1 = sequential
-	// DisablePredecode boots every system on the byte-at-a-time reference
-	// fetch path (see SystemConfig.DisablePredecode).
-	DisablePredecode bool
-}
-
 // RunMDSExperiment reproduces Section 7.4: leaking the planted kernel
 // secret through the Listing 4 MDS gadget, across repeated reboots. A
 // reboot whose exploit chain fails outright (the paper saw signal in
 // only 8 of 10 runs) counts as a no-signal run rather than aborting the
-// sweep, so any seed yields a report.
-func RunMDSExperiment(arch Microarch, opts MDSOptions) (*MDSReport, error) {
-	if opts.Runs == 0 {
-		opts.Runs = 10
-	}
+// sweep, so any seed yields a report. It uses Seed, Runs, Bytes and Jobs.
+func RunMDSExperiment(arch Microarch, opts Options) (*MDSReport, error) {
+	opts.Runs = opts.runsOr(10)
 	if opts.Bytes == 0 {
 		opts.Bytes = 4096
 	}
@@ -666,9 +614,9 @@ func RunMDSExperiment(arch Microarch, opts MDSOptions) (*MDSReport, error) {
 	type leakRun struct {
 		acc, rate float64
 	}
-	outcomes, err := sweep.Run(optionsContext(opts.Context), opts.Runs, sweepOpts("mds", opts.Runs, opts.Jobs),
+	outcomes, err := sweep.Run(opts.ctx(), opts.Runs, sweepOpts("mds", opts.Runs, opts.Jobs),
 		func(_ context.Context, r int) (leakRun, error) {
-			sys, err := NewSystem(arch, SystemConfig{Seed: opts.Seed + int64(r)*43, DisablePredecode: opts.DisablePredecode})
+			sys, err := NewSystem(arch, SystemConfig{Seed: opts.Seed + int64(r)*43})
 			if err != nil {
 				return leakRun{}, err
 			}
@@ -726,13 +674,14 @@ type MitigationSummary struct {
 }
 
 // RunMitigations reproduces the Section 6.3 experiments (O4, O5, the
-// SuppressBPOnNonBr overhead) and the Section 8 IBPB analysis.
-func RunMitigations(arch Microarch, seed int64) (*MitigationSummary, error) {
+// SuppressBPOnNonBr overhead) and the Section 8 IBPB analysis. It uses
+// Seed.
+func RunMitigations(arch Microarch, opts Options) (*MitigationSummary, error) {
 	p, err := arch.profile()
 	if err != nil {
 		return nil, err
 	}
-	rep, err := core.EvaluateMitigations(p, seed)
+	rep, err := core.EvaluateMitigations(p, opts.Seed)
 	if err != nil {
 		return nil, err
 	}

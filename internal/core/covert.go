@@ -41,9 +41,6 @@ type CovertConfig struct {
 	// adds I-cache interference; the paper's accuracy *gain* came from
 	// slowing the victim thread, which has no analogue here.
 	SiblingStress int
-	// DisablePredecode runs the channel on the byte-at-a-time reference
-	// fetch path (parity testing; results must not change).
-	DisablePredecode bool
 }
 
 func (c CovertConfig) withDefaults() CovertConfig {
@@ -142,7 +139,7 @@ const covertISet = 33
 func RunCovertFetch(p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
 	telemetry.CountExperiment("covert_fetch")
 	cfg = cfg.withDefaults()
-	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise, DisablePredecode: cfg.DisablePredecode})
+	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise})
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +178,7 @@ func RunCovertFetch(p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
 func RunCovertExecute(p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
 	telemetry.CountExperiment("covert_execute")
 	cfg = cfg.withDefaults()
-	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise, DisablePredecode: cfg.DisablePredecode})
+	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise})
 	if err != nil {
 		return nil, err
 	}

@@ -28,9 +28,6 @@ type Fig6Config struct {
 	// Step is the offset increment (paper plots 0x40-granular points up
 	// to 0xfc0; the figure labels every 0x100).
 	Step uint64
-	// DisablePredecode runs the sweep on the byte-at-a-time reference
-	// fetch path (parity testing; results must not change).
-	DisablePredecode bool
 }
 
 func (c Fig6Config) withDefaults() Fig6Config {
@@ -70,7 +67,6 @@ func RunFig6(p *uarch.Profile, cfg Fig6Config) ([]Fig6Point, error) {
 func fig6Point(p *uarch.Profile, cfg Fig6Config, off uint64) (Fig6Point, error) {
 	env := newUserEnv(p, cfg.Seed)
 	m := env.m
-	m.DisablePredecode = cfg.DisablePredecode
 	maskVal, ok := btb.SamePrivAliasMask(m.BTB.Scheme())
 	if !ok {
 		return Fig6Point{}, fmt.Errorf("core: no alias mask for %s", p)

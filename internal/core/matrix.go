@@ -46,9 +46,6 @@ type MatrixConfig struct {
 	Seed   int64
 	Trials int     // per-cell trials (positive and negative each)
 	Noise  float64 // machine noise level; 0 = deterministic
-	// DisablePredecode runs the cells on the byte-at-a-time reference
-	// fetch path (parity testing; results must not change).
-	DisablePredecode bool
 }
 
 // symmetricCell reports cells excluded from Phantom evaluation.
@@ -84,7 +81,7 @@ func RunMatrix(p *uarch.Profile, cfg MatrixConfig) (*MatrixResult, error) {
 				cell.Status = CellSymmetric
 				cell.Note = note
 			} else {
-				reach, err := runCombo(p, cfg.Seed+int64(tr)*31+int64(vi), tr, vi, cfg.Trials, cfg.Noise, uarch.MSRState{}, cfg.DisablePredecode)
+				reach, err := RunCombo(p, cfg.Seed+int64(tr)*31+int64(vi), tr, vi, cfg.Trials, cfg.Noise)
 				if err != nil {
 					return nil, fmt.Errorf("cell (%v, %v): %w", tr, vi, err)
 				}

@@ -419,16 +419,12 @@ func (lab *comboLab) runTrial(positive bool) (Reach, error) {
 // the mispredicted target advanced to ID" — Section 5.1; applied to all
 // three channels here).
 func RunCombo(p *uarch.Profile, seed int64, train, victim BranchKind, trials int, noise float64) (Reach, error) {
-	return runCombo(p, seed, train, victim, trials, noise, uarch.MSRState{}, false)
+	return RunComboMSR(p, seed, train, victim, trials, noise, uarch.MSRState{})
 }
 
 // RunComboMSR is RunCombo under an explicit mitigation-MSR configuration,
 // used by the Section 6.3 experiments.
 func RunComboMSR(p *uarch.Profile, seed int64, train, victim BranchKind, trials int, noise float64, msr uarch.MSRState) (Reach, error) {
-	return runCombo(p, seed, train, victim, trials, noise, msr, false)
-}
-
-func runCombo(p *uarch.Profile, seed int64, train, victim BranchKind, trials int, noise float64, msr uarch.MSRState, disablePredecode bool) (Reach, error) {
 	if trials <= 0 {
 		trials = 6
 	}
@@ -438,7 +434,6 @@ func runCombo(p *uarch.Profile, seed int64, train, victim BranchKind, trials int
 	}
 	lab.env.m.MSR = msr
 	lab.env.m.Noise.Level = noise
-	lab.env.m.DisablePredecode = disablePredecode
 
 	// Training with non-branch means "no prediction exists"; there is no
 	// aliasing to control for, so the negative test is skipped and the

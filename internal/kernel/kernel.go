@@ -26,11 +26,6 @@ type Config struct {
 	// NoiseLevel scales microarchitectural noise; 1 is calibrated
 	// default, 0 makes runs deterministic (tests).
 	NoiseLevel float64
-	// DisablePredecode routes the machine's fetch+decode through the
-	// byte-at-a-time reference path instead of the predecode cache. The
-	// cache charges no cycles, so results must be identical either way;
-	// the knob exists for parity tests and debugging.
-	DisablePredecode bool
 }
 
 func (c Config) withDefaults() Config {
@@ -81,7 +76,6 @@ func Boot(p *uarch.Profile, cfg Config) (*Kernel, error) {
 	m := pipeline.New(p, cfg.PhysBytes, cfg.Seed)
 	m.Noise.Level = cfg.NoiseLevel
 	m.KPTI = cfg.KPTI
-	m.DisablePredecode = cfg.DisablePredecode
 	// The threat model (Section 3) assumes all state-of-the-art defenses:
 	// parts supporting AutoIBRS / eIBRS boot with them enabled.
 	m.MSR.AutoIBRS = p.SupportsAutoIBRS

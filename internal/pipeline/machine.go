@@ -86,13 +86,6 @@ type Machine struct {
 	// Tracer, when non-nil, receives pipeline events (see trace.go).
 	Tracer Tracer
 
-	// DisablePredecode routes instruction fetch+decode through the
-	// original byte-at-a-time path instead of the predecode cache. The
-	// cache is an interpreter optimization that charges no cycles, so
-	// both modes must render byte-identical experiment output; parity
-	// tests flip this knob to prove it (see predecode.go).
-	DisablePredecode bool
-
 	// DisableSpeculation suppresses every wrong-path effect: speculation
 	// episodes, the decoupled fetcher's fall-through prefetch, and the
 	// I-cache fill of a rejected prediction's target. Predictor training,
@@ -107,8 +100,11 @@ type Machine struct {
 
 	// pre caches decoded instructions per physical code line; fmemo
 	// memoizes the last instruction-page translation (predecode.go).
-	pre   predecodeCache
-	fmemo fetchMemo
+	// referenceFetch, copied from SetReferenceFetch at New, bypasses both
+	// for the byte-at-a-time reference path.
+	pre            predecodeCache
+	fmemo          fetchMemo
+	referenceFetch bool
 
 	// tstat/tshard/tlast batch harness-side interpreter tallies into
 	// the process telemetry hub at Run boundaries (telemetry.go). All
@@ -165,6 +161,8 @@ func New(p *uarch.Profile, physBytes uint64, seed int64) *Machine {
 		PHT:  btb.NewPHT(p.PHTBits),
 		BHB:  &btb.BHB{},
 		rng:  rng,
+
+		referenceFetch: referenceFetch.Load(),
 	}
 	m.Noise = NewNoiseSource(m, rng)
 	m.lastFetchLine = ^uint64(0)
@@ -233,8 +231,8 @@ func (m *Machine) dataAccess(va uint64, kind mem.AccessKind) (uint64, *mem.Fault
 // line-granularly by the caller). This is the slow path, shared by the
 // architectural and wrong-path walkers: decodeAt uses it whenever the
 // decode window may cross a page boundary — the one case where truncating
-// at an unmapped neighbor page matters — and for all fetches when the
-// predecode cache is disabled.
+// at an unmapped neighbor page matters — and for all fetches on the
+// reference path (SetReferenceFetch).
 func (m *Machine) fetchBytes(va uint64, n int) ([]byte, *mem.Fault) {
 	buf := make([]byte, 0, n)
 	for i := 0; i < n; i++ {

@@ -26,14 +26,29 @@ package pipeline
 //     the AddrSpace pointer itself, so a VA that changes meaning can
 //     never reach a stale line.
 //
-// The Machine.DisablePredecode escape hatch routes fetch+decode through
-// the original byte-at-a-time path; sweep_determinism_test.go pins that
-// both modes render byte-identical experiment output.
+// The byte-at-a-time path the cache replaced stays as the tests' oracle:
+// SetReferenceFetch(true) routes every machine built afterwards through
+// it, and the parity tests (sweep_determinism_test.go, the
+// internal/service goldens) pin that both paths render byte-identical
+// experiment output. No production code sets it.
 
 import (
+	"sync/atomic"
+
 	"phantom/internal/isa"
 	"phantom/internal/mem"
 )
+
+// referenceFetch is the process-wide reference-path switch. New copies it
+// into each Machine, so the per-instruction check is a plain field load.
+var referenceFetch atomic.Bool
+
+// SetReferenceFetch makes every Machine built by New from now on fetch
+// and decode byte at a time, bypassing the predecode cache and the fetch
+// translation memo. It is a test hook: the cache charges no cycles, so
+// output must be identical either way, and parity tests flip this switch
+// to prove it. Machines already built keep the path they were built with.
+func SetReferenceFetch(on bool) { referenceFetch.Store(on) }
 
 // decodeWindow is how many bytes the decoder may examine per instruction.
 // Instructions whose window would cross a page boundary take the slow
@@ -141,7 +156,7 @@ type fetchMemo struct {
 func (m *Machine) translateFetch(va uint64) (uint64, *mem.Fault) {
 	as := m.AS()
 	user := !m.Kernel
-	if m.DisablePredecode {
+	if m.referenceFetch {
 		return m.xlate(va, mem.AccessFetch)
 	}
 	page := va &^ (mem.PageSize - 1)
@@ -163,12 +178,12 @@ func (m *Machine) translateFetch(va uint64) (uint64, *mem.Fault) {
 // no allocation. Instructions whose 16-byte decode window straddles a page
 // boundary — where the old path could legitimately truncate at an unmapped
 // or non-executable neighbor page — always take the byte-at-a-time slow
-// path, as does everything when DisablePredecode is set.
+// path, as does everything on the reference path (SetReferenceFetch).
 //
 // decodeAt charges no cycles and touches no modeled structure; callers
 // charge line-granular I-cache/µop timing exactly as they always did.
 func (m *Machine) decodeAt(va uint64) (isa.Inst, *mem.Fault) {
-	if m.DisablePredecode || va&(mem.PageSize-1) > mem.PageSize-decodeWindow {
+	if m.referenceFetch || va&(mem.PageSize-1) > mem.PageSize-decodeWindow {
 		bytes, f := m.fetchBytes(va, decodeWindow)
 		if f != nil {
 			return isa.Inst{}, f

@@ -42,8 +42,9 @@ func TestPredecodeCacheHitsOnLoop(t *testing.T) {
 
 func TestDisablePredecodeBypassesCache(t *testing.T) {
 	run := func(disable bool) (uint64, DebugCounters) {
+		SetReferenceFetch(disable)
+		defer SetReferenceFetch(false)
 		m := newTestMachine(t, uarch.Zen2())
-		m.DisablePredecode = disable
 		installCode(t, m, loopProgram(0x400000, 50))
 		if res := m.RunAt(0x400000, 10000); res.Reason != StopHalt {
 			t.Fatalf("run(disable=%v): %v", disable, res)
@@ -56,7 +57,7 @@ func TestDisablePredecodeBypassesCache(t *testing.T) {
 		t.Fatalf("architectural result differs: %d vs %d", raxOn, raxOff)
 	}
 	if dbg.PredecodeHits != 0 || dbg.PredecodeMisses != 0 {
-		t.Fatalf("DisablePredecode still touched the cache: hits=%d misses=%d",
+		t.Fatalf("the reference path still touched the cache: hits=%d misses=%d",
 			dbg.PredecodeHits, dbg.PredecodeMisses)
 	}
 }

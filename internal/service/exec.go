@@ -52,8 +52,9 @@ type Experiment struct {
 	// cluster tier fans these out across peers; anything else routes as
 	// one unit.
 	separable bool
-	// run evaluates a normalized request into its result documents.
-	run func(ctx context.Context, req Request, jobs int) ([]any, error)
+	// run evaluates a normalized request, given as the options Evaluate
+	// builds from it and its arch list, into its result documents.
+	run func(o phantom.Options, archs []phantom.Microarch) ([]any, error)
 	// text renders run's documents; nil prints each on its own line.
 	text func(w io.Writer, req Request, docs []any)
 }
@@ -109,19 +110,17 @@ var registry = []Experiment{
 		Name: "table1", Usage: "training×victim misprediction matrix (Table 1)",
 		Archs: []string{"all"}, Seed: 1, Params: []Param{{"trials", 6}, {"noise", 0}},
 		JSON: true, weight: 2, separable: true,
-		run: func(ctx context.Context, req Request, _ int) ([]any, error) {
-			return perArch(ctx, req, func(a phantom.Microarch) (*phantom.Table1, error) {
-				return phantom.RunTable1(a, phantom.Table1Options{
-					Context: ctx, Seed: req.Seed, Trials: req.Trials, Noise: req.Noise,
-				})
+		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+			return perArch(o, archs, func(a phantom.Microarch) (*phantom.Table1, error) {
+				return phantom.RunTable1(a, o)
 			})
 		},
 	},
 	{
 		Name: "fig6", Usage: "speculative decode vs page offset (Figure 6)",
 		Archs: []string{"zen2", "zen4"}, Seed: 1, Jobs: true, JSON: true, weight: 1,
-		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
-			return each(phantom.RunFig6SweepCtx(ctx, microarchs(req.Archs), req.Seed, jobs))
+		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+			return each(phantom.RunFig6(archs, o))
 		},
 	},
 	{
@@ -129,24 +128,20 @@ var registry = []Experiment{
 		Archs: []string{"zen3"}, Seed: 9, Params: []Param{{"samples", 22}},
 		Jobs: true, JSON: true, weight: 4,
 		Hint: "recovering BTB functions on %s (sampling may take ~10s)...",
-		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
-			return each(phantom.RunFig7Sweep(microarchs(req.Archs), phantom.Fig7Options{
-				Context: ctx, Seed: req.Seed, Samples: req.Samples, Jobs: jobs,
-			}))
+		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+			return each(phantom.RunFig7(archs, o))
 		},
 	},
 	{
 		Name: "covert", Usage: "fetch/execute covert channels (Table 2)",
 		Archs: []string{"amd"}, Seed: 1, Params: []Param{{"bits", 4096}, {"runs", 10}},
 		Jobs: true, JSON: true, weight: 3,
-		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
-			archs := microarchs(req.Archs)
-			opts := phantom.Table2Options{Context: ctx, Seed: req.Seed, Bits: req.Bits, Runs: req.Runs, Jobs: jobs}
-			fetch, err := phantom.RunTable2Fetch(archs, opts)
+		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+			fetch, err := phantom.RunTable2Fetch(archs, o)
 			if err != nil {
 				return nil, err
 			}
-			exec, err := phantom.RunTable2Execute(archs, opts)
+			exec, err := phantom.RunTable2Execute(archs, o)
 			return one(covertResult{Execute: exec, Fetch: fetch}, err)
 		},
 		text: func(w io.Writer, _ Request, docs []any) {
@@ -160,8 +155,8 @@ var registry = []Experiment{
 		Name: "kaslr", Usage: "kernel image KASLR break (Table 3)",
 		Archs: []string{"zen2", "zen3", "zen4"}, Seed: 1, Params: []Param{{"runs", 20}},
 		Jobs: true, JSON: true, weight: 3,
-		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
-			return one(phantom.RunTable3(microarchs(req.Archs), derandOptions(ctx, req, jobs)))
+		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+			return one(phantom.RunTable3(archs, o))
 		},
 		text: derandText("Table 3 — kernel image KASLR via P1 (%d runs)"),
 	},
@@ -169,16 +164,16 @@ var registry = []Experiment{
 		Name: "physmap", Usage: "physmap KASLR break (Table 4)",
 		Archs: []string{"zen1", "zen2"}, Seed: 1, Params: []Param{{"runs", 10}},
 		Jobs: true, JSON: true, weight: 3,
-		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
-			return one(phantom.RunTable4(microarchs(req.Archs), derandOptions(ctx, req, jobs)))
+		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+			return one(phantom.RunTable4(archs, o))
 		},
 		text: derandText("Table 4 — physmap KASLR via P2 (%d runs)"),
 	},
 	{
 		Name: "physaddr", Usage: "physical address derandomization (Table 5)",
 		Seed: 1, Params: []Param{{"runs", 20}}, Jobs: true, JSON: true, weight: 4,
-		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
-			return one(phantom.RunTable5(derandOptions(ctx, req, jobs)))
+		run: func(o phantom.Options, _ []phantom.Microarch) ([]any, error) {
+			return one(phantom.RunTable5(o))
 		},
 		text: derandText("Table 5 — physical address of a user page (%d runs)"),
 	},
@@ -186,20 +181,18 @@ var registry = []Experiment{
 		Name: "mds", Usage: "MDS-gadget kernel memory leak (Section 7.4)",
 		Archs: []string{"zen2"}, Seed: 1, Params: []Param{{"runs", 10}, {"bytes", 4096}},
 		Jobs: true, JSON: true, weight: 4, separable: true,
-		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
-			return perArch(ctx, req, func(a phantom.Microarch) (*phantom.MDSReport, error) {
-				return phantom.RunMDSExperiment(a, phantom.MDSOptions{
-					Context: ctx, Seed: req.Seed, Runs: req.Runs, Bytes: req.Bytes, Jobs: jobs,
-				})
+		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+			return perArch(o, archs, func(a phantom.Microarch) (*phantom.MDSReport, error) {
+				return phantom.RunMDSExperiment(a, o)
 			})
 		},
 	},
 	{
 		Name: "mitigations", Usage: "mitigation evaluation (Sections 6.3, 8)",
 		Archs: []string{"amd"}, Seed: 1, JSON: true, weight: 2, separable: true,
-		run: func(ctx context.Context, req Request, _ int) ([]any, error) {
-			return perArch(ctx, req, func(a phantom.Microarch) (*phantom.MitigationSummary, error) {
-				return phantom.RunMitigations(a, req.Seed)
+		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+			return perArch(o, archs, func(a phantom.Microarch) (*phantom.MitigationSummary, error) {
+				return phantom.RunMitigations(a, o)
 			})
 		},
 	},
@@ -212,11 +205,9 @@ var registry = []Experiment{
 	{
 		Name: "report", Usage: "full paper-vs-measured Markdown report",
 		Seed: 1, Params: []Param{{"runs", 10}, {"bits", 1024}}, Jobs: true, weight: 10,
-		run: func(ctx context.Context, req Request, jobs int) ([]any, error) {
+		run: func(o phantom.Options, _ []phantom.Microarch) ([]any, error) {
 			var b bytes.Buffer
-			err := phantom.GenerateReport(&b, phantom.ReportOptions{
-				Context: ctx, Seed: req.Seed, Runs: req.Runs, Bits: req.Bits, Jobs: jobs,
-			})
+			err := phantom.GenerateReport(&b, phantom.ReportOptions{Options: o})
 			return one(b.String(), err)
 		},
 		text: func(w io.Writer, _ Request, docs []any) { io.WriteString(w, docs[0].(string)) },
@@ -263,11 +254,11 @@ func Experiments() []string {
 //
 // Execute normalizes req itself, so a raw request gets the documented
 // defaults and validation whichever front end (or library caller)
-// hands it over. ctx bounds the evaluation — it is threaded into every
-// experiment options struct, so cancellation or an expired deadline
-// aborts the underlying sweep jobs. jobs sizes the worker pool of the
-// sweep-backed experiments (0 = GOMAXPROCS); it never changes the
-// output, only how fast it is produced.
+// hands it over. ctx bounds the evaluation — it is the Context of the
+// phantom.Options every experiment runs with, so cancellation or an
+// expired deadline aborts the underlying sweep jobs. jobs sizes the
+// worker pool of the sweep-backed experiments (0 = GOMAXPROCS); it
+// never changes the output, only how fast it is produced.
 func Execute(ctx context.Context, w io.Writer, req Request, jobs int) error {
 	req, err := req.Normalize()
 	if err != nil {
@@ -299,7 +290,11 @@ func Evaluate(ctx context.Context, req Request, jobs int) ([]any, error) {
 		return nil, err
 	}
 	e, _ := Lookup(req.Experiment)
-	return e.run(ctx, req, jobs)
+	return e.run(phantom.Options{
+		Context: ctx, Seed: req.Seed, Jobs: jobs,
+		Trials: req.Trials, Noise: req.Noise, Bits: req.Bits,
+		Runs: req.Runs, Bytes: req.Bytes, Samples: req.Samples,
+	}, microarchs(req.Archs))
 }
 
 // each wraps a result slice as documents, one per element.
@@ -322,12 +317,12 @@ func one[T any](v T, err error) ([]any, error) {
 	return []any{v}, nil
 }
 
-// perArch evaluates f on each requested arch in order, one document
-// per arch, stopping between arches once ctx is done.
-func perArch[T any](ctx context.Context, req Request, f func(phantom.Microarch) (T, error)) ([]any, error) {
-	out := make([]any, 0, len(req.Archs))
-	for _, a := range microarchs(req.Archs) {
-		if err := ctx.Err(); err != nil {
+// perArch evaluates f on each arch in order, one document per arch,
+// stopping between arches once o.Context is done.
+func perArch[T any](o phantom.Options, archs []phantom.Microarch, f func(phantom.Microarch) (T, error)) ([]any, error) {
+	out := make([]any, 0, len(archs))
+	for _, a := range archs {
+		if err := o.Context.Err(); err != nil {
 			return nil, err
 		}
 		v, err := f(a)
@@ -347,10 +342,6 @@ type covertResult struct {
 	Fetch   []phantom.Table2Row `json:"fetch"`
 }
 
-func derandOptions(ctx context.Context, req Request, jobs int) phantom.DerandOptions {
-	return phantom.DerandOptions{Context: ctx, Seed: req.Seed, Runs: req.Runs, Jobs: jobs}
-}
-
 // derandText renders a derandomization table; title takes the run
 // count.
 func derandText(title string) func(io.Writer, Request, []any) {
@@ -367,9 +358,10 @@ type slsCell struct {
 
 // runSLS measures the straight-line-speculation cell (Table 1,
 // footnote c): the non-branch-trained ret victim.
-func runSLS(ctx context.Context, req Request, _ int) ([]any, error) {
-	return perArch(ctx, req, func(a phantom.Microarch) (slsCell, error) {
-		tb, err := phantom.RunTable1(a, phantom.Table1Options{Context: ctx, Seed: req.Seed, Trials: 4})
+func runSLS(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+	o.Trials = 4
+	return perArch(o, archs, func(a phantom.Microarch) (slsCell, error) {
+		tb, err := phantom.RunTable1(a, o)
 		if err != nil {
 			return slsCell{}, err
 		}
@@ -405,13 +397,14 @@ type chainRun struct {
 	leak                 *phantom.LeakResult
 	// leakErr is the leak step coming up empty on this boot: a chain
 	// result, not a harness error — steps 1-3 likewise report
-	// correct=false rather than aborting.
+	// correct=false rather than aborting. A nil page means steps 3 and 4
+	// did not run, because step 1 or 2 found no candidate base.
 	leakErr error
 }
 
-func runChain(ctx context.Context, req Request, _ int) ([]any, error) {
-	return perArch(ctx, req, func(a phantom.Microarch) (*chainRun, error) {
-		sys, err := phantom.NewSystem(a, phantom.SystemConfig{Seed: req.Seed})
+func runChain(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
+	return perArch(o, archs, func(a phantom.Microarch) (*chainRun, error) {
+		sys, err := phantom.NewSystem(a, phantom.SystemConfig{Seed: o.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -422,10 +415,15 @@ func runChain(ctx context.Context, req Request, _ int) ([]any, error) {
 		if c.physmap, err = sys.BreakPhysmapKASLR(c.image.Guess); err != nil {
 			return nil, err
 		}
+		c.secretVA, c.secret = sys.SecretAddr()
+		if c.image.Guess == 0 || c.physmap.Guess == 0 {
+			// An unlucky boot (the paper's own success rates are below
+			// 100%): the later steps have no base to build on.
+			return c, nil
+		}
 		if c.page, err = sys.FindPhysAddr(c.image.Guess, c.physmap.Guess); err != nil {
 			return nil, err
 		}
-		c.secretVA, c.secret = sys.SecretAddr()
 		c.leak, c.leakErr = sys.LeakKernelMemory(c.secretVA, 64)
 		return c, nil
 	})
@@ -437,6 +435,11 @@ func textChain(w io.Writer, req Request, docs []any) {
 		fmt.Fprintf(w, "=== Full exploit chain on %s (seed %d) ===\n", c.arch.ModelName(), req.Seed)
 		fmt.Fprintf(w, "1. kernel image:  %#x  correct=%v  (%.4fs sim)\n", c.image.Guess, c.image.Correct, c.image.Seconds)
 		fmt.Fprintf(w, "2. physmap:       %#x  correct=%v  (%.4fs sim)\n", c.physmap.Guess, c.physmap.Correct, c.physmap.Seconds)
+		if c.page == nil {
+			fmt.Fprintln(w, "3. page phys:     not run on this boot (no image or physmap base)")
+			fmt.Fprintf(w, "4. leak @ %#x: not run on this boot\n", c.secretVA)
+			continue
+		}
 		fmt.Fprintf(w, "3. page phys:     %#x  correct=%v  (%.4fs sim)\n", c.page.Guess, c.page.Correct, c.page.Seconds)
 		if c.leakErr != nil {
 			fmt.Fprintf(w, "4. leak @ %#x: failed on this boot: %v\n", c.secretVA, c.leakErr)

@@ -51,3 +51,18 @@ func TestExecuteCancellationPropagates(t *testing.T) {
 		t.Fatal("test bug: deadline never fired")
 	}
 }
+
+// TestChainFailedBootSkipsLaterSteps pins the chain's failed-boot path:
+// on these seeds the physmap break finds no candidate base, so steps 3
+// and 4 are reported as not run and the request still succeeds.
+func TestChainFailedBootSkipsLaterSteps(t *testing.T) {
+	for _, seed := range []int64{23, 65, 80} {
+		var buf bytes.Buffer
+		if err := Execute(context.Background(), &buf, Request{Experiment: "chain", Seed: seed}, 1); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !strings.Contains(buf.String(), "\n3. page phys:     not run on this boot") {
+			t.Errorf("seed %d: step 3 not skipped:\n%s", seed, &buf)
+		}
+	}
+}

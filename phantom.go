@@ -31,8 +31,9 @@
 //	fmt.Printf("kernel image at %#x (correct: %v, %.2fs simulated)\n",
 //	        res.Guess, res.Correct, res.Seconds)
 //
-// The Run* functions reproduce the paper's tables and figures; see
-// EXPERIMENTS.md for the measured-vs-published comparison.
+// The Run* functions reproduce the paper's tables and figures, all from
+// one Options value; see EXPERIMENTS.md for the measured-vs-published
+// comparison.
 package phantom
 
 import (
@@ -111,13 +112,6 @@ type SystemConfig struct {
 	Deterministic bool
 	// KPTI enables kernel page-table isolation costs.
 	KPTI bool
-	// DisablePredecode turns off the interpreter's predecode cache and
-	// runs the byte-at-a-time reference fetch path. The cache is a pure
-	// simulator optimization that charges no cycles, so every experiment
-	// must produce byte-identical output with it on or off; this knob is
-	// how the determinism tests prove that, and how to rule the cache out
-	// when debugging a suspected simulation difference.
-	DisablePredecode bool
 }
 
 // System is one booted machine-plus-kernel, the subject of the attacks.
@@ -142,11 +136,10 @@ func NewSystem(arch Microarch, cfg SystemConfig) (*System, error) {
 		noise = 1
 	}
 	k, err := kernel.Boot(p, kernel.Config{
-		Seed:             cfg.Seed,
-		PhysBytes:        cfg.PhysBytes,
-		NoiseLevel:       noise,
-		KPTI:             cfg.KPTI,
-		DisablePredecode: cfg.DisablePredecode,
+		Seed:       cfg.Seed,
+		PhysBytes:  cfg.PhysBytes,
+		NoiseLevel: noise,
+		KPTI:       cfg.KPTI,
 	})
 	if err != nil {
 		return nil, err

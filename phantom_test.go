@@ -19,7 +19,7 @@ func (t *Table1) reach(train, victim string) StageReach {
 }
 
 func TestTable1Zen2FullReach(t *testing.T) {
-	tb, err := RunTable1(Zen2, Table1Options{Seed: 1, Trials: 3})
+	tb, err := RunTable1(Zen2, Options{Seed: 1, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTable1Zen2FullReach(t *testing.T) {
 }
 
 func TestTable1Zen4DecodeOnly(t *testing.T) {
-	tb, err := RunTable1(Zen4, Table1Options{Seed: 2, Trials: 3})
+	tb, err := RunTable1(Zen4, Options{Seed: 2, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTable1Zen4DecodeOnly(t *testing.T) {
 }
 
 func TestTable1IntelAnomalies(t *testing.T) {
-	tb9, err := RunTable1(Intel9, Table1Options{Seed: 3, Trials: 3})
+	tb9, err := RunTable1(Intel9, Options{Seed: 3, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTable1IntelAnomalies(t *testing.T) {
 		t.Errorf("intel9 SLS cell = %v, want no EX", r)
 	}
 
-	tb12, err := RunTable1(Intel12, Table1Options{Seed: 4, Trials: 3})
+	tb12, err := RunTable1(Intel12, Options{Seed: 4, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTable1ObservationsO1O2(t *testing.T) {
 	// O1/O2 hold on every modeled part: some evaluated cell shows IF and
 	// ID on each microarchitecture.
 	for _, arch := range AllMicroarchs() {
-		tb, err := RunTable1(arch, Table1Options{Seed: 5, Trials: 2})
+		tb, err := RunTable1(arch, Options{Seed: 5, Trials: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestTable1ObservationsO1O2(t *testing.T) {
 func TestTable1UnderNoise(t *testing.T) {
 	// The channels must survive calibrated noise via the negative-test
 	// methodology.
-	tb, err := RunTable1(Zen2, Table1Options{Seed: 6, Trials: 8, Noise: 1})
+	tb, err := RunTable1(Zen2, Options{Seed: 6, Trials: 8, Noise: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,11 @@ func TestTable1UnderNoise(t *testing.T) {
 
 func TestFig6SignalOnlyAtSeriesOffset(t *testing.T) {
 	for _, arch := range []Microarch{Zen2, Zen4} {
-		s, err := RunFig6(arch, 7)
+		series, err := RunFig6([]Microarch{arch}, Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := series[0]
 		for _, p := range s.Points {
 			sameSet := p.Offset>>6 == s.SeriesOffset>>6
 			if sameSet && p.Misses == 0 {
@@ -154,10 +155,11 @@ func TestFig7RecoversPublishedFunctions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collision sampling is slow")
 	}
-	f, err := RunFig7(Zen3, Fig7Options{Seed: 9, BruteBudget: 2000})
+	fs, err := RunFig7([]Microarch{Zen3}, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := fs[0]
 	// Brute force must fail on Zen 3 (needs 12-bit flips).
 	if f.BruteForceFound {
 		t.Error("brute force found a small-flip collision on Zen3")
@@ -196,17 +198,17 @@ func TestFig7BruteForceSucceedsOnZen2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("brute force is slow")
 	}
-	f, err := RunFig7(Zen2, Fig7Options{Seed: 10, Samples: 4, MaxBatches: 400})
+	f, err := RunFig7([]Microarch{Zen2}, Options{Seed: 10, Samples: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.BruteForceFound {
+	if !f[0].BruteForceFound {
 		t.Fatal("brute force failed on Zen2 (a 4-bit pattern exists)")
 	}
 }
 
 func TestTable2FetchAllZen(t *testing.T) {
-	rows, err := RunTable2Fetch(AMDMicroarchs(), Table2Options{Seed: 11, Bits: 256, Runs: 3})
+	rows, err := RunTable2Fetch(AMDMicroarchs(), Options{Seed: 11, Bits: 256, Runs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestTable2FetchAllZen(t *testing.T) {
 }
 
 func TestTable2ExecuteOnlyZen12(t *testing.T) {
-	rows, err := RunTable2Execute(AMDMicroarchs(), Table2Options{Seed: 12, Bits: 256, Runs: 3})
+	rows, err := RunTable2Execute(AMDMicroarchs(), Options{Seed: 12, Bits: 256, Runs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestTable2ExecuteOnlyZen12(t *testing.T) {
 }
 
 func TestTable3ImageKASLR(t *testing.T) {
-	rows, err := RunTable3([]Microarch{Zen2, Zen3, Zen4}, DerandOptions{Seed: 13, Runs: 4})
+	rows, err := RunTable3([]Microarch{Zen2, Zen3, Zen4}, Options{Seed: 13, Runs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +257,7 @@ func TestTable3ImageKASLR(t *testing.T) {
 }
 
 func TestTable4PhysmapKASLR(t *testing.T) {
-	rows, err := RunTable4([]Microarch{Zen1, Zen2}, DerandOptions{Seed: 14, Runs: 3})
+	rows, err := RunTable4([]Microarch{Zen1, Zen2}, Options{Seed: 14, Runs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,7 @@ func TestPhysmapKASLRFailsOnZen3(t *testing.T) {
 }
 
 func TestTable5PhysAddr(t *testing.T) {
-	rows, err := RunTable5(DerandOptions{Seed: 16, Runs: 2})
+	rows, err := RunTable5(Options{Seed: 16, Runs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +348,7 @@ func TestMDSLeakNeedsExecuteWindow(t *testing.T) {
 }
 
 func TestMitigationsO4O5(t *testing.T) {
-	m2, err := RunMitigations(Zen2, 19)
+	m2, err := RunMitigations(Zen2, Options{Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +374,7 @@ func TestMitigationsO4O5(t *testing.T) {
 		t.Error("IBPB-on-entry failed to block Phantom")
 	}
 
-	m1, err := RunMitigations(Zen1, 20)
+	m1, err := RunMitigations(Zen1, Options{Seed: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +382,7 @@ func TestMitigationsO4O5(t *testing.T) {
 		t.Error("Zen1 must not support SuppressBPOnNonBr (Section 8.1)")
 	}
 
-	m4, err := RunMitigations(Zen4, 21)
+	m4, err := RunMitigations(Zen4, Options{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +470,7 @@ func TestMicroarchPlumbing(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	tb, err := RunTable1(Zen2, Table1Options{Seed: 30, Trials: 2})
+	tb, err := RunTable1(Zen2, Options{Seed: 30, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +490,7 @@ func TestFormatters(t *testing.T) {
 func TestGenerateReport(t *testing.T) {
 	var buf bytes.Buffer
 	err := GenerateReport(&buf, ReportOptions{
-		Seed: 40, Runs: 2, Bits: 128,
+		Options:         Options{Seed: 40, Runs: 2, Bits: 128},
 		Archs:           []Microarch{Zen2, Intel13},
 		MitigationArchs: []Microarch{Zen2},
 	})

@@ -9,21 +9,13 @@ import (
 	"phantom/internal/sweep"
 )
 
-// ReportOptions controls GenerateReport's scale.
+// ReportOptions controls GenerateReport's scale. Of the embedded
+// Options it uses Context (checked between sections too), Seed, Jobs,
+// Runs per multi-run experiment (0 = 10; Tables 2 and 4 and the MDS leak
+// cap it at 10) and Bits per covert-channel run (0 = 1024; the paper's
+// 4096 via flag). The report text is identical for every Jobs.
 type ReportOptions struct {
-	// Context, when non-nil, bounds the generation: cancellation or a
-	// deadline aborts between sections and cancels the section sweeps.
-	// Nil means context.Background().
-	Context context.Context
-	Seed    int64
-	// Runs per multi-run experiment (Tables 3-5, the MDS leak); 0 = 10.
-	Runs int
-	// Bits per covert-channel run; 0 = 1024 (the paper's 4096 via flag).
-	Bits int
-	// Jobs sizes the worker pool every section's sweep runs on; 0 =
-	// GOMAXPROCS, 1 = the sequential path. The report text is identical
-	// for every pool size.
-	Jobs int
+	Options
 	// Archs to cover in the Table 1 section; nil = all eight.
 	Archs []Microarch
 	// MitigationArchs to evaluate in the mitigation section; nil = all
@@ -31,10 +23,12 @@ type ReportOptions struct {
 	MitigationArchs []Microarch
 }
 
-// withDefaults fills the zero-value fields with the documented defaults.
+// withDefaults keeps the fields the report uses, filling zero ones with
+// the documented defaults.
 func (o ReportOptions) withDefaults() ReportOptions {
-	if o.Runs == 0 {
-		o.Runs = 10
+	o.Options = Options{
+		Context: o.Context, Seed: o.Seed, Jobs: o.Jobs,
+		Runs: o.runsOr(10), Bits: o.Bits,
 	}
 	if o.Bits == 0 {
 		o.Bits = 1024
@@ -116,7 +110,7 @@ func GenerateReport(w io.Writer, opts ReportOptions) error {
 	fmt.Fprintf(w, "scale discussion. Paper columns quote MICRO '23 Tables 1-5 and Sections 6-8.\n\n")
 
 	for _, s := range reportSections() {
-		if err := optionsContext(opts.Context).Err(); err != nil {
+		if err := opts.ctx().Err(); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "## %s\n\n", s.Title)
@@ -128,9 +122,9 @@ func GenerateReport(w io.Writer, opts ReportOptions) error {
 }
 
 func writeTable1Section(w io.Writer, opts ReportOptions) error {
-	tables, err := sweep.Run(optionsContext(opts.Context), len(opts.Archs), sweepOpts("report_table1", len(opts.Archs), opts.Jobs),
+	tables, err := sweep.Run(opts.ctx(), len(opts.Archs), sweepOpts("report_table1", len(opts.Archs), opts.Jobs),
 		func(ctx context.Context, i int) (*Table1, error) {
-			return RunTable1(opts.Archs[i], Table1Options{Context: ctx, Seed: opts.Seed, Trials: 4})
+			return RunTable1(opts.Archs[i], Options{Context: ctx, Seed: opts.Seed, Trials: 4})
 		})
 	if err != nil {
 		return err
@@ -145,7 +139,7 @@ func writeTable1Section(w io.Writer, opts ReportOptions) error {
 
 func writeFig6Section(w io.Writer, opts ReportOptions) error {
 	fig6Archs := []Microarch{Zen2, Zen4}
-	series, err := RunFig6SweepCtx(opts.Context, fig6Archs, opts.Seed, opts.Jobs)
+	series, err := RunFig6(fig6Archs, opts.Options)
 	if err != nil {
 		return err
 	}
@@ -167,7 +161,8 @@ func writeFig6Section(w io.Writer, opts ReportOptions) error {
 }
 
 func writeTable2Section(w io.Writer, opts ReportOptions) error {
-	t2opts := Table2Options{Context: opts.Context, Seed: opts.Seed, Bits: opts.Bits, Runs: min(opts.Runs, 10), Jobs: opts.Jobs}
+	t2opts := opts.Options
+	t2opts.Runs = min(opts.Runs, 10)
 	fetchRows, err := RunTable2Fetch(AMDMicroarchs(), t2opts)
 	if err != nil {
 		return err
@@ -189,21 +184,23 @@ func writeTable2Section(w io.Writer, opts ReportOptions) error {
 }
 
 func writeDerandSections(w io.Writer, opts ReportOptions) error {
-	t3, err := RunTable3([]Microarch{Zen2, Zen3, Zen4}, DerandOptions{Context: opts.Context, Seed: opts.Seed, Runs: opts.Runs, Jobs: opts.Jobs})
+	t3, err := RunTable3([]Microarch{Zen2, Zen3, Zen4}, opts.Options)
 	if err != nil {
 		return err
 	}
 	writeDerandSection(w, "Kernel image KASLR (Table 3)", t3, []paperRef{
 		{"zen2", "97% / 4.09 s"}, {"zen3", "100% / 1.38 s"}, {"zen4", "95% / 1.23 s"},
 	})
-	t4, err := RunTable4([]Microarch{Zen1, Zen2}, DerandOptions{Context: opts.Context, Seed: opts.Seed, Runs: min(opts.Runs, 10), Jobs: opts.Jobs})
+	t4opts := opts.Options
+	t4opts.Runs = min(opts.Runs, 10)
+	t4, err := RunTable4([]Microarch{Zen1, Zen2}, t4opts)
 	if err != nil {
 		return err
 	}
 	writeDerandSection(w, "Physmap KASLR (Table 4)", t4, []paperRef{
 		{"zen1", "100% / 101 s"}, {"zen2", "90% / 106.5 s"},
 	})
-	t5, err := RunTable5(DerandOptions{Context: opts.Context, Seed: opts.Seed, Runs: opts.Runs, Jobs: opts.Jobs})
+	t5, err := RunTable5(opts.Options)
 	if err != nil {
 		return err
 	}
@@ -214,7 +211,10 @@ func writeDerandSections(w io.Writer, opts ReportOptions) error {
 }
 
 func writeMDSSection(w io.Writer, opts ReportOptions) error {
-	mds, err := RunMDSExperiment(Zen2, MDSOptions{Context: opts.Context, Seed: opts.Seed, Runs: min(opts.Runs, 10), Bytes: 1024, Jobs: opts.Jobs})
+	mdsOpts := opts.Options
+	mdsOpts.Runs = min(opts.Runs, 10)
+	mdsOpts.Bytes = 1024
+	mds, err := RunMDSExperiment(Zen2, mdsOpts)
 	if err != nil {
 		return err
 	}
@@ -226,7 +226,7 @@ func writeMDSSection(w io.Writer, opts ReportOptions) error {
 
 func writeSpectreV2Section(w io.Writer, opts ReportOptions) error {
 	v2Archs := []Microarch{Zen2, Zen4, Intel13}
-	v2s, err := sweep.Run(optionsContext(opts.Context), len(v2Archs), sweepOpts("report_spectrev2", len(v2Archs), opts.Jobs),
+	v2s, err := sweep.Run(opts.ctx(), len(v2Archs), sweepOpts("report_spectrev2", len(v2Archs), opts.Jobs),
 		func(_ context.Context, i int) (*core.SpectreV2Result, error) {
 			p, err := v2Archs[i].profile()
 			if err != nil {
@@ -246,9 +246,9 @@ func writeSpectreV2Section(w io.Writer, opts ReportOptions) error {
 }
 
 func writeMitigationSection(w io.Writer, opts ReportOptions) error {
-	mits, err := sweep.Run(optionsContext(opts.Context), len(opts.MitigationArchs), sweepOpts("report_mitigations", len(opts.MitigationArchs), opts.Jobs),
+	mits, err := sweep.Run(opts.ctx(), len(opts.MitigationArchs), sweepOpts("report_mitigations", len(opts.MitigationArchs), opts.Jobs),
 		func(_ context.Context, i int) (*MitigationSummary, error) {
-			return RunMitigations(opts.MitigationArchs[i], opts.Seed)
+			return RunMitigations(opts.MitigationArchs[i], opts.Options)
 		})
 	if err != nil {
 		return err
@@ -285,11 +285,4 @@ func writeDerandSection(w io.Writer, title string, rows []DerandRow, refs []pape
 		fmt.Fprintf(w, "| %s | %.0f%% | %.4f s | %s |\n", r.Arch, r.AccuracyPct, r.MedianSeconds, paper)
 	}
 	fmt.Fprintf(w, "\n")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -23,26 +23,31 @@ func TestReportSectionGolden(t *testing.T) {
 		t.Skip("renders a report section")
 	}
 	var buf bytes.Buffer
-	opts := ReportOptions{Seed: 7, Runs: 2, Bits: 128}
+	opts := ReportOptions{Options: Options{Seed: 7, Runs: 2, Bits: 128}}
 	if err := GenerateReportSection(&buf, "Table 2 — covert channels", opts); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "report_covert_seed7.golden")
+	checkGolden(t, filepath.Join("testdata", "report_covert_seed7.golden"), buf.Bytes())
+}
+
+// checkGolden compares got with the golden file at path, rewriting it
+// first under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("report section diverges from %s (rerun with -update if intentional)\ngot:\n%s\nwant:\n%s",
-			golden, buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("output diverges from %s (rerun with -update if intentional)\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 

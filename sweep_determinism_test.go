@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"phantom/internal/pipeline"
 )
 
 // The sweep engine's contract: per-run seeds are derived arithmetically
@@ -13,7 +15,7 @@ import (
 
 func TestTable2SweepDeterminism(t *testing.T) {
 	render := func(jobs int) string {
-		rows, err := RunTable2Fetch(AMDMicroarchs(), Table2Options{Seed: 60, Bits: 128, Runs: 4, Jobs: jobs})
+		rows, err := RunTable2Fetch(AMDMicroarchs(), Options{Seed: 60, Bits: 128, Runs: 4, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +32,7 @@ func TestTable2SweepDeterminism(t *testing.T) {
 
 func TestTable2ExecuteSweepDeterminism(t *testing.T) {
 	render := func(jobs int) string {
-		rows, err := RunTable2Execute([]Microarch{Zen1, Zen2}, Table2Options{Seed: 61, Bits: 128, Runs: 3, Jobs: jobs})
+		rows, err := RunTable2Execute([]Microarch{Zen1, Zen2}, Options{Seed: 61, Bits: 128, Runs: 3, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +45,7 @@ func TestTable2ExecuteSweepDeterminism(t *testing.T) {
 
 func TestTable3SweepDeterminism(t *testing.T) {
 	render := func(jobs int) string {
-		rows, err := RunTable3([]Microarch{Zen2, Zen3, Zen4}, DerandOptions{Seed: 62, Runs: 4, Jobs: jobs})
+		rows, err := RunTable3([]Microarch{Zen2, Zen3, Zen4}, Options{Seed: 62, Runs: 4, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +62,7 @@ func TestTable3SweepDeterminism(t *testing.T) {
 
 func TestTable4SweepDeterminism(t *testing.T) {
 	render := func(jobs int) string {
-		rows, err := RunTable4([]Microarch{Zen1, Zen2}, DerandOptions{Seed: 63, Runs: 3, Jobs: jobs})
+		rows, err := RunTable4([]Microarch{Zen1, Zen2}, Options{Seed: 63, Runs: 3, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +75,7 @@ func TestTable4SweepDeterminism(t *testing.T) {
 
 func TestTable5SweepDeterminism(t *testing.T) {
 	render := func(jobs int) string {
-		rows, err := RunTable5(DerandOptions{Seed: 64, Runs: 2, Jobs: jobs})
+		rows, err := RunTable5(Options{Seed: 64, Runs: 2, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +88,7 @@ func TestTable5SweepDeterminism(t *testing.T) {
 
 func TestMDSSweepDeterminism(t *testing.T) {
 	render := func(jobs int) string {
-		rep, err := RunMDSExperiment(Zen2, MDSOptions{Seed: 65, Runs: 3, Bytes: 256, Jobs: jobs})
+		rep, err := RunMDSExperiment(Zen2, Options{Seed: 65, Runs: 3, Bytes: 256, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +101,7 @@ func TestMDSSweepDeterminism(t *testing.T) {
 
 func TestFig6SweepMatchesSerial(t *testing.T) {
 	archs := []Microarch{Zen2, Zen4}
-	swept, err := RunFig6Sweep(archs, 66, 8)
+	swept, err := RunFig6(archs, Options{Seed: 66, Jobs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +109,11 @@ func TestFig6SweepMatchesSerial(t *testing.T) {
 		t.Fatalf("%d series for %d archs", len(swept), len(archs))
 	}
 	for i, arch := range archs {
-		serial, err := RunFig6(arch, 66)
+		serial, err := RunFig6([]Microarch{arch}, Options{Seed: 66, Jobs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(swept[i], serial) {
+		if !reflect.DeepEqual(swept[i], serial[0]) {
 			t.Errorf("%s: swept series differs from serial run", arch)
 		}
 	}
@@ -122,54 +124,62 @@ func TestFig6SweepMatchesSerial(t *testing.T) {
 // tests pin byte-identical output between the cached fast path and the
 // byte-at-a-time reference path for each experiment family.
 
+// referencePath runs render with every machine it builds on the
+// byte-at-a-time reference fetch path.
+func referencePath(render func() string) string {
+	pipeline.SetReferenceFetch(true)
+	defer pipeline.SetReferenceFetch(false)
+	return render()
+}
+
 func TestTable1PredecodeParity(t *testing.T) {
-	render := func(disable bool) string {
-		tab, err := RunTable1(Zen2, Table1Options{Seed: 70, Trials: 3, DisablePredecode: disable})
+	render := func() string {
+		tab, err := RunTable1(Zen2, Options{Seed: 70, Trials: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tab.String()
 	}
-	if on, off := render(false), render(true); on != off {
+	if on, off := render(), referencePath(render); on != off {
 		t.Errorf("Table 1 changes with the predecode cache:\n--- cache on\n%s--- cache off\n%s", on, off)
 	}
 }
 
 func TestTable2PredecodeParity(t *testing.T) {
-	render := func(disable bool) string {
-		rows, err := RunTable2Fetch([]Microarch{Zen2}, Table2Options{Seed: 71, Bits: 128, Runs: 2, Jobs: 2, DisablePredecode: disable})
+	render := func() string {
+		rows, err := RunTable2Fetch([]Microarch{Zen2}, Options{Seed: 71, Bits: 128, Runs: 2, Jobs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return FormatTable2("Table 2 (top) — fetch covert channel (P1)", rows)
 	}
-	if on, off := render(false), render(true); on != off {
+	if on, off := render(), referencePath(render); on != off {
 		t.Errorf("Table 2 changes with the predecode cache:\n--- cache on\n%s--- cache off\n%s", on, off)
 	}
 }
 
 func TestTable3PredecodeParity(t *testing.T) {
-	render := func(disable bool) string {
-		rows, err := RunTable3([]Microarch{Zen3}, DerandOptions{Seed: 72, Runs: 3, Jobs: 2, DisablePredecode: disable})
+	render := func() string {
+		rows, err := RunTable3([]Microarch{Zen3}, Options{Seed: 72, Runs: 3, Jobs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return FormatDerand("Table 3", rows)
 	}
-	if on, off := render(false), render(true); on != off {
+	if on, off := render(), referencePath(render); on != off {
 		t.Errorf("Table 3 changes with the predecode cache:\n--- cache on\n%s--- cache off\n%s", on, off)
 	}
 }
 
 func TestMDSPredecodeParity(t *testing.T) {
-	render := func(disable bool) string {
-		rep, err := RunMDSExperiment(Zen2, MDSOptions{Seed: 73, Runs: 2, Bytes: 256, Jobs: 2, DisablePredecode: disable})
+	render := func() string {
+		rep, err := RunMDSExperiment(Zen2, Options{Seed: 73, Runs: 2, Bytes: 256, Jobs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep.String()
 	}
-	if on, off := render(false), render(true); on != off {
+	if on, off := render(), referencePath(render); on != off {
 		t.Errorf("MDS report changes with the predecode cache:\n--- cache on\n%s--- cache off\n%s", on, off)
 	}
 }
@@ -181,7 +191,7 @@ func TestReportSweepDeterminism(t *testing.T) {
 	render := func(jobs int) []byte {
 		var buf bytes.Buffer
 		err := GenerateReport(&buf, ReportOptions{
-			Seed: 67, Runs: 2, Bits: 128, Jobs: jobs,
+			Options:         Options{Seed: 67, Runs: 2, Bits: 128, Jobs: jobs},
 			Archs:           []Microarch{Zen2, Zen4},
 			MitigationArchs: []Microarch{Zen2},
 		})

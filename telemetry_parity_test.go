@@ -26,56 +26,56 @@ type parityCase struct {
 func telemetryParityCases() []parityCase {
 	return []parityCase{
 		{"table1", func(t *testing.T) string {
-			tab, err := RunTable1(Zen2, Table1Options{Seed: 80, Trials: 3})
+			tab, err := RunTable1(Zen2, Options{Seed: 80, Trials: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return tab.String()
 		}},
 		{"table2_fetch", func(t *testing.T) string {
-			rows, err := RunTable2Fetch([]Microarch{Zen2}, Table2Options{Seed: 81, Bits: 128, Runs: 2, Jobs: 8})
+			rows, err := RunTable2Fetch([]Microarch{Zen2}, Options{Seed: 81, Bits: 128, Runs: 2, Jobs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return FormatTable2("Table 2 (top) — fetch covert channel (P1)", rows)
 		}},
 		{"table3", func(t *testing.T) string {
-			rows, err := RunTable3([]Microarch{Zen3}, DerandOptions{Seed: 82, Runs: 3, Jobs: 8})
+			rows, err := RunTable3([]Microarch{Zen3}, Options{Seed: 82, Runs: 3, Jobs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return FormatDerand("Table 3", rows)
 		}},
 		{"table4", func(t *testing.T) string {
-			rows, err := RunTable4([]Microarch{Zen1}, DerandOptions{Seed: 83, Runs: 2, Jobs: 8})
+			rows, err := RunTable4([]Microarch{Zen1}, Options{Seed: 83, Runs: 2, Jobs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return FormatDerand("Table 4", rows)
 		}},
 		{"table5", func(t *testing.T) string {
-			rows, err := RunTable5(DerandOptions{Seed: 84, Runs: 2, Jobs: 8})
+			rows, err := RunTable5(Options{Seed: 84, Runs: 2, Jobs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return FormatDerand("Table 5", rows)
 		}},
 		{"fig6", func(t *testing.T) string {
-			series, err := RunFig6Sweep([]Microarch{Zen2}, 85, 8)
+			series, err := RunFig6([]Microarch{Zen2}, Options{Seed: 85, Jobs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return fmt.Sprint(series)
 		}},
 		{"fig7", func(t *testing.T) string {
-			fns, err := RunFig7Sweep([]Microarch{Zen3}, Fig7Options{Seed: 86, Samples: 5, Jobs: 8})
+			fns, err := RunFig7([]Microarch{Zen3}, Options{Seed: 86, Samples: 5, Jobs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return fmt.Sprint(fns)
 		}},
 		{"mds", func(t *testing.T) string {
-			rep, err := RunMDSExperiment(Zen2, MDSOptions{Seed: 87, Runs: 2, Bytes: 256, Jobs: 8})
+			rep, err := RunMDSExperiment(Zen2, Options{Seed: 87, Runs: 2, Bytes: 256, Jobs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestReportTelemetryParity(t *testing.T) {
 	render := func(t *testing.T) string {
 		var buf bytes.Buffer
 		err := GenerateReport(&buf, ReportOptions{
-			Seed: 88, Runs: 2, Bits: 128, Jobs: 8,
+			Options:         Options{Seed: 88, Runs: 2, Bits: 128, Jobs: 8},
 			Archs:           []Microarch{Zen2},
 			MitigationArchs: []Microarch{Zen2},
 		})

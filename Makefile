@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode fuzz-normalize fuzz-store search-smoke search-nightly
+.PHONY: build test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke bench-serve bench-store fuzz-decode fuzz-normalize fuzz-request-key fuzz-store search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -63,7 +63,7 @@ race:
 	$(GO) test -race ./...
 
 # The full gate: what CI runs.
-check: vet phantom-vet staticcheck govulncheck build test race cover search-smoke cluster-smoke
+check: vet phantom-vet staticcheck govulncheck build test race cover search-smoke serve-smoke
 
 # Statement coverage with per-package floors (coverage.floors): fails
 # when any package regresses below its recorded seed-state coverage.
@@ -96,6 +96,11 @@ fuzz-decode:
 fuzz-normalize:
 	$(GO) test -run '^$$' -fuzz FuzzNormalize -fuzztime 30s ./internal/service
 
+# The request-key fuzzer on the same budget: two requests with equal
+# Key() render equal bytes through Execute (cheap experiments only).
+fuzz-request-key:
+	$(GO) test -run '^$$' -fuzz FuzzRequestKey -fuzztime 30s ./internal/service
+
 # The store-recovery fuzzer on the same budget: arbitrary segment bytes
 # never panic Open, and Get never serves a record whose CRC failed.
 fuzz-store:
@@ -124,14 +129,6 @@ search-nightly:
 serve-smoke:
 	$(GO) run ./internal/tools/servesmoke
 
-# End-to-end gate for the distributed tier: boots a 3-node fleet with a
-# static -peers ring and per-node durable stores, then checks the
-# deterministic keyspace split, fan-out byte-parity with the CLI,
-# single-hop proxying, dead-peer degradation with zero client errors,
-# and a warm-store restart that answers without re-simulating.
-cluster-smoke:
-	$(GO) run ./internal/tools/servesmoke -cluster
-
 # The serving headline numbers: cold miss vs content-addressed cache
 # hit vs 8-way coalesced, archived as a dated test2json log like the
 # other bench targets. The acceptance bar is warm >= 50x cold.
@@ -140,15 +137,12 @@ bench-serve:
 		> BENCH_$$(date +%Y%m%d)_serve.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_serve.json || true
 
-# The distributed-tier numbers: durable-store put/get throughput and
-# the cost of a warm proxy hop vs a warm local hit, archived as a dated
+# The durable-store numbers: put/get throughput, archived as a dated
 # test2json log like the other bench targets.
-bench-cluster:
+bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkStore(Put|Get)' -benchmem -json ./internal/store \
-		> BENCH_$$(date +%Y%m%d)_cluster.json
-	$(GO) test -run '^$$' -bench 'BenchmarkServe(Local|Proxied)Warm' -benchmem -json ./internal/service \
-		>> BENCH_$$(date +%Y%m%d)_cluster.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_cluster.json || true
+		> BENCH_$$(date +%Y%m%d)_store.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_store.json || true
 
 # The telemetry no-perturbation overhead number (Table 1 with the hub
 # off vs on), archived as a dated JSON log like `make bench`. Runs the

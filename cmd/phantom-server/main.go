@@ -29,11 +29,8 @@
 // -store-dir adds a durable tier under the cache: every computed result
 // is written through to an append-only on-disk store, and a restarted
 // server answers previously computed requests from disk without
-// re-simulating. -peers + -node-id shard the keyspace across a static
-// cluster: each node owns a consistent-hash share of the request keys,
-// forwards non-owned requests to their owner (one hop), and fans
-// separable multi-arch requests out across the fleet; a dead peer
-// degrades to local computation, never to a client error.
+// re-simulating. -jobs sizes each evaluation's sweep pool, which also
+// runs the arches of a multi-arch request in parallel.
 //
 // Exit codes: 0 clean shutdown, 1 runtime errors, 2 usage errors.
 package main
@@ -51,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"phantom/internal/cluster"
 	"phantom/internal/service"
 	"phantom/internal/store"
 	"phantom/internal/telemetry"
@@ -80,8 +76,6 @@ func realMain(ctx context.Context, args []string, stderr io.Writer) int {
 	metricsSample := fs.Int("metrics-sample", 1, "record every Nth sweep job in the run log and latency histogram")
 	storeDir := fs.String("store-dir", "", "durable result store directory (empty disables the store)")
 	storeBudget := fs.Int64("store-budget", 0, "store size budget in MiB before eviction + compaction (0 = unlimited)")
-	peersFlag := fs.String("peers", "", "static cluster peer list: comma-separated id=host:port, this node included")
-	nodeID := fs.String("node-id", "", "this node's id in -peers (required with -peers)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -93,27 +87,9 @@ func realMain(ctx context.Context, args []string, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if (*peersFlag == "") != (*nodeID == "") {
-		fmt.Fprintf(stderr, "phantom-server: -peers and -node-id must be set together\n")
-		return 2
-	}
 	if *storeBudget < 0 {
 		fmt.Fprintf(stderr, "phantom-server: -store-budget must be >= 0\n")
 		return 2
-	}
-
-	var rtr *cluster.Router
-	if *peersFlag != "" {
-		peers, err := cluster.ParsePeers(*peersFlag)
-		if err != nil {
-			fmt.Fprintf(stderr, "phantom-server: -peers: %v\n", err)
-			return 2
-		}
-		rtr, err = cluster.NewRouter(cluster.Config{Self: *nodeID, Peers: peers})
-		if err != nil {
-			fmt.Fprintf(stderr, "phantom-server: %v\n", err)
-			return 2
-		}
 	}
 
 	// The telemetry hub is always on in the server — /metrics is part of
@@ -171,11 +147,7 @@ func realMain(ctx context.Context, args []string, stderr io.Writer) int {
 		CacheBytes:  *cacheMB << 20,
 		BaseTimeout: *baseTimeout,
 		Store:       st,
-		Router:      rtr,
 	})
-	if rtr != nil {
-		fmt.Fprintf(stderr, "phantom-server: cluster node %s in a %d-peer ring\n", rtr.Self().ID, len(rtr.Health()))
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

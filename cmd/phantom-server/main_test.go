@@ -124,18 +124,6 @@ func TestUsageErrors(t *testing.T) {
 	if code := realMain(ctx, []string{"-h"}, io.Discard); code != 0 {
 		t.Errorf("-h: exit %d, want 0", code)
 	}
-	if code := realMain(ctx, []string{"-peers", "n1=127.0.0.1:1"}, io.Discard); code != 2 {
-		t.Errorf("-peers without -node-id: exit %d, want 2", code)
-	}
-	if code := realMain(ctx, []string{"-node-id", "n1"}, io.Discard); code != 2 {
-		t.Errorf("-node-id without -peers: exit %d, want 2", code)
-	}
-	if code := realMain(ctx, []string{"-peers", "garbage", "-node-id", "n1"}, io.Discard); code != 2 {
-		t.Errorf("malformed -peers: exit %d, want 2", code)
-	}
-	if code := realMain(ctx, []string{"-peers", "n1=127.0.0.1:1,n2=127.0.0.1:2", "-node-id", "ghost"}, io.Discard); code != 2 {
-		t.Errorf("-node-id outside -peers: exit %d, want 2", code)
-	}
 	if code := realMain(ctx, []string{"-store-budget", "-1"}, io.Discard); code != 2 {
 		t.Errorf("negative -store-budget: exit %d, want 2", code)
 	}

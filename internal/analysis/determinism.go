@@ -27,19 +27,17 @@ var Determinism = &Analyzer{
 }
 
 // determinismScope: the packages that compute experiment results, plus
-// the distributed-tier packages (store, cluster) whose recovery and
-// ownership decisions are designed to be clock- and randomness-free —
-// consistent-hash ownership is a pure function of the peer IDs, and
-// peer health is failure-count based rather than timeout based. The
-// harness layers around them (sweep, telemetry, service, cmd) read the
-// wall clock legitimately — for progress lines and latency metrics —
-// and are kept honest by the no-perturbation parity tests instead.
+// the durable store, whose recovery decisions are designed to be clock-
+// and randomness-free. The harness layers around them (sweep,
+// telemetry, service, cmd) read the wall clock legitimately — for
+// progress lines and latency metrics — and are kept honest by the
+// no-perturbation parity tests instead.
 func determinismScope(pkgPath, filename string) bool {
 	switch pkgPath {
 	case "phantom/internal/pipeline", "phantom/internal/btb", "phantom/internal/cache",
 		"phantom/internal/mem", "phantom/internal/uarch", "phantom/internal/isa",
 		"phantom/internal/kernel", "phantom/internal/core", "phantom/internal/stats",
-		"phantom/internal/search", "phantom/internal/store", "phantom/internal/cluster":
+		"phantom/internal/search", "phantom/internal/store":
 		return true
 	case "phantom":
 		// The root package mixes experiment drivers (experiments.go,

@@ -7,7 +7,7 @@ import (
 )
 
 // ErrFlow forbids silently discarding errors from durability
-// operations in the persistence and cluster tier.
+// operations in the persistence tier.
 //
 // The result store's crash-safety story is fsync-then-rename: a write
 // is durable only once Sync and Close both succeed, and the only
@@ -36,12 +36,11 @@ var ErrFlow = &Analyzer{
 }
 
 // errFlowScope: the packages that own bytes-on-disk or bytes-on-wire
-// durability — the result store, the cluster transport, and the sweep
-// coordinator that acks shards.
+// durability — the result store, the service that writes through to
+// it, and the sweep coordinator that acks shards.
 func errFlowScope(pkgPath, filename string) bool {
 	switch pkgPath {
-	case "phantom/internal/store", "phantom/internal/cluster", "phantom/internal/sweep",
-		"phantom/internal/service":
+	case "phantom/internal/store", "phantom/internal/sweep", "phantom/internal/service":
 		return true
 	}
 	return false

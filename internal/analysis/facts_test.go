@@ -47,7 +47,7 @@ func TestFactStoreRoundTrip(t *testing.T) {
 // so its package paths land inside the real analyzers' Applies scopes
 // — the only way to exercise cross-package fact flow end to end
 // without type-checking the actual repo in a unit test. store exports
-// a Durable fact (its Persist wraps f.Sync); cluster imports store and
+// a Durable fact (its Persist wraps f.Sync); service imports store and
 // discards Persist's error, which only errflow-with-facts can see.
 func writePhantomShadowModule(t *testing.T) string {
 	t.Helper()
@@ -71,7 +71,7 @@ func Persist(f *os.File) error {
 	return f.Sync()
 }
 `)
-	write("internal/cluster/cluster.go", `package cluster
+	write("internal/service/service.go", `package service
 
 import (
 	"os"
@@ -97,8 +97,8 @@ func TestCrossPackageDurableFacts(t *testing.T) {
 	for _, d := range diags {
 		if d.Analyzer == "errflow" && strings.Contains(d.Message, "Persist discards its error") {
 			found = true
-			if !strings.Contains(d.Pos.Filename, "cluster") {
-				t.Errorf("durable-discard finding landed in %s, want the cluster package", d.Pos.Filename)
+			if !strings.Contains(d.Pos.Filename, "service") {
+				t.Errorf("durable-discard finding landed in %s, want the service package", d.Pos.Filename)
 			}
 		}
 	}
@@ -108,9 +108,9 @@ func TestCrossPackageDurableFacts(t *testing.T) {
 }
 
 // TestCachedFactsFlowToInvalidatedImporter is the reason cache entries
-// persist facts at all: after a warm fill, only the importer (cluster)
+// persist facts at all: after a warm fill, only the importer (service)
 // is edited. store must be restored from cache — unparsed, unchecked —
-// and its Durable fact must still reach cluster's fresh analysis.
+// and its Durable fact must still reach service's fresh analysis.
 func TestCachedFactsFlowToInvalidatedImporter(t *testing.T) {
 	root := writePhantomShadowModule(t)
 	inDir(t, root)
@@ -127,7 +127,7 @@ func TestCachedFactsFlowToInvalidatedImporter(t *testing.T) {
 	cold, _ := run()
 
 	// Touch only the importer.
-	src := filepath.Join(root, "internal", "cluster", "cluster.go")
+	src := filepath.Join(root, "internal", "service", "service.go")
 	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestCachedFactsFlowToInvalidatedImporter(t *testing.T) {
 
 	warm, stats := run()
 	if stats.CacheHits != 1 || stats.CacheMisses != 1 {
-		t.Fatalf("after editing cluster: hits=%d misses=%d, want 1/1 (store cached, cluster re-analyzed)", stats.CacheHits, stats.CacheMisses)
+		t.Fatalf("after editing service: hits=%d misses=%d, want 1/1 (store cached, service re-analyzed)", stats.CacheHits, stats.CacheMisses)
 	}
 	assertDurableFinding := func(diags []Diagnostic, label string) {
 		t.Helper()

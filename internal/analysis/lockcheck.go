@@ -11,11 +11,11 @@ import (
 // copied by value, no Lock left unpaired on any path to return, no
 // re-Lock of a mutex a path already holds.
 //
-// The distributed tier (store, cluster, service, sweep, telemetry) is
-// the one part of the repo where the race detector is the only runtime
-// gate, and the race detector only sees schedules the test runner
-// happens to produce. The three rules here are the lock bugs that
-// survive `-race`: a copied mutex guards nothing (each copy is a fresh
+// The serving tier (store, service, sweep, telemetry) is the one part
+// of the repo where the race detector is the only runtime gate, and
+// the race detector only sees schedules the test runner happens to
+// produce. The three rules here are the lock bugs that survive
+// `-race`: a copied mutex guards nothing (each copy is a fresh
 // unlocked lock), a Lock missing its Unlock on one early-return path
 // deadlocks the next caller on a schedule tests never run, and a
 // double-Lock on the same receiver self-deadlocks only when the first
@@ -30,13 +30,13 @@ var LockCheck = &Analyzer{
 	Run:     runLockCheck,
 }
 
-// lockCheckScope: the packages that hold locks — the serving and
-// distributed tier plus the telemetry hub. The simulation packages are
+// lockCheckScope: the packages that hold locks — the serving tier and
+// the durable store plus the telemetry hub. The simulation packages are
 // single-goroutine by design and own no locks.
 func lockCheckScope(pkgPath, filename string) bool {
 	switch pkgPath {
-	case "phantom/internal/store", "phantom/internal/cluster", "phantom/internal/service",
-		"phantom/internal/sweep", "phantom/internal/telemetry":
+	case "phantom/internal/store", "phantom/internal/service", "phantom/internal/sweep",
+		"phantom/internal/telemetry":
 		return true
 	}
 	return false

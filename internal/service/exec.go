@@ -9,14 +9,14 @@ import (
 	"sort"
 
 	"phantom"
+	"phantom/internal/sweep"
 )
 
 // Experiment declares one servable experiment, once: the request fields
 // it consumes and their defaults, how heavy it is, how to evaluate it
-// and how to render the result. Normalize, Execute, Timeout, the
-// cluster fan-out and the phantom CLI (its flags, -json and help text)
-// all read this one entry, so adding an experiment is one registry
-// entry plus its golden file.
+// and how to render the result. Normalize, Execute, Timeout and the
+// phantom CLI (its flags, -json and help text) all read this one entry,
+// so adding an experiment is one registry entry plus its golden file.
 type Experiment struct {
 	// Name is the experiment name, exactly as the CLI and the API spell
 	// it.
@@ -33,8 +33,10 @@ type Experiment struct {
 	// with their defaults. Normalize forces every other field to zero so
 	// it cannot split the cache.
 	Params []Param
-	// Jobs reports whether the experiment runs on the sweep worker pool,
-	// so that the CLI offers -jobs.
+	// Jobs reports whether the CLI offers -jobs, because the
+	// experiment's runs go on the sweep worker pool. An entry without it
+	// that evaluates per arch still runs its arches on the pool, at the
+	// default size from the CLI.
 	Jobs bool
 	// JSON reports whether the CLI offers -json, which encodes each
 	// document Evaluate returns as one JSON value.
@@ -46,12 +48,6 @@ type Experiment struct {
 	// weight scales the server's per-experiment deadline (see
 	// Config.BaseTimeout): heavier experiments get proportionally more.
 	weight int
-	// separable marks experiments that render each arch independently
-	// with identical options, so a multi-arch request is byte-identical
-	// to its per-arch sub-requests concatenated in canonical order. The
-	// cluster tier fans these out across peers; anything else routes as
-	// one unit.
-	separable bool
 	// run evaluates a normalized request, given as the options Evaluate
 	// builds from it and its arch list, into its result documents.
 	run func(o phantom.Options, archs []phantom.Microarch) ([]any, error)
@@ -109,9 +105,9 @@ var registry = []Experiment{
 	{
 		Name: "table1", Usage: "training×victim misprediction matrix (Table 1)",
 		Archs: []string{"all"}, Seed: 1, Params: []Param{{"trials", 6}, {"noise", 0}},
-		JSON: true, weight: 2, separable: true,
+		JSON: true, weight: 2,
 		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
-			return perArch(o, archs, func(a phantom.Microarch) (*phantom.Table1, error) {
+			return perArch(o, archs, func(o phantom.Options, a phantom.Microarch) (*phantom.Table1, error) {
 				return phantom.RunTable1(a, o)
 			})
 		},
@@ -180,18 +176,18 @@ var registry = []Experiment{
 	{
 		Name: "mds", Usage: "MDS-gadget kernel memory leak (Section 7.4)",
 		Archs: []string{"zen2"}, Seed: 1, Params: []Param{{"runs", 10}, {"bytes", 4096}},
-		Jobs: true, JSON: true, weight: 4, separable: true,
+		Jobs: true, JSON: true, weight: 4,
 		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
-			return perArch(o, archs, func(a phantom.Microarch) (*phantom.MDSReport, error) {
+			return perArch(o, archs, func(o phantom.Options, a phantom.Microarch) (*phantom.MDSReport, error) {
 				return phantom.RunMDSExperiment(a, o)
 			})
 		},
 	},
 	{
 		Name: "mitigations", Usage: "mitigation evaluation (Sections 6.3, 8)",
-		Archs: []string{"amd"}, Seed: 1, JSON: true, weight: 2, separable: true,
+		Archs: []string{"amd"}, Seed: 1, JSON: true, weight: 2,
 		run: func(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
-			return perArch(o, archs, func(a phantom.Microarch) (*phantom.MitigationSummary, error) {
+			return perArch(o, archs, func(o phantom.Options, a phantom.Microarch) (*phantom.MitigationSummary, error) {
 				return phantom.RunMitigations(a, o)
 			})
 		},
@@ -214,7 +210,7 @@ var registry = []Experiment{
 	},
 	{
 		Name: "chain", Usage: "full Section 7 exploit chain",
-		Archs: []string{"zen2"}, Seed: 1, weight: 3, separable: true,
+		Archs: []string{"zen2"}, Seed: 1, weight: 3,
 		run:  runChain,
 		text: textChain,
 	},
@@ -317,21 +313,16 @@ func one[T any](v T, err error) ([]any, error) {
 	return []any{v}, nil
 }
 
-// perArch evaluates f on each arch in order, one document per arch,
-// stopping between arches once o.Context is done.
-func perArch[T any](o phantom.Options, archs []phantom.Microarch, f func(phantom.Microarch) (T, error)) ([]any, error) {
-	out := make([]any, 0, len(archs))
-	for _, a := range archs {
-		if err := o.Context.Err(); err != nil {
-			return nil, err
-		}
-		v, err := f(a)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+// perArch evaluates f on each arch on the sweep pool of o.Jobs
+// workers, one document per arch in arch order, so the output is the
+// same at any pool size. Each call gets a copy of o whose Context is
+// its job's, so cancellation reaches every arch.
+func perArch[T any](o phantom.Options, archs []phantom.Microarch, f func(phantom.Options, phantom.Microarch) (T, error)) ([]any, error) {
+	return each(sweep.Run(o.Context, len(archs), sweep.Options{Jobs: o.Jobs}, func(ctx context.Context, i int) (T, error) {
+		jo := o
+		jo.Context = ctx
+		return f(jo, archs[i])
+	}))
 }
 
 // covertResult is Table 2: both covert channels of one request. The
@@ -360,7 +351,7 @@ type slsCell struct {
 // footnote c): the non-branch-trained ret victim.
 func runSLS(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
 	o.Trials = 4
-	return perArch(o, archs, func(a phantom.Microarch) (slsCell, error) {
+	return perArch(o, archs, func(o phantom.Options, a phantom.Microarch) (slsCell, error) {
 		tb, err := phantom.RunTable1(a, o)
 		if err != nil {
 			return slsCell{}, err
@@ -403,7 +394,7 @@ type chainRun struct {
 }
 
 func runChain(o phantom.Options, archs []phantom.Microarch) ([]any, error) {
-	return perArch(o, archs, func(a phantom.Microarch) (*chainRun, error) {
+	return perArch(o, archs, func(o phantom.Options, a phantom.Microarch) (*chainRun, error) {
 		sys, err := phantom.NewSystem(a, phantom.SystemConfig{Seed: o.Seed})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -201,4 +203,68 @@ func FuzzNormalize(f *testing.F) {
 			t.Fatalf("Normalize is not a fixpoint:\nonce:  %#v\ntwice: %#v", n, again)
 		}
 	})
+}
+
+// FuzzRequestKey checks the content address end to end: two request
+// bodies whose normalized requests have equal Key() render equal bytes
+// through Execute, so a cache or store hit never answers differently
+// from a fresh run. Most seed pairs respell one question — duplicated
+// arches, explicit defaults, seed 0, fields the experiment does not
+// consume; the near misses differ in a field that changes the output.
+// Mutation explores from there. Only single-arch table1
+// and sls at small sizes run, so an input costs milliseconds. Run it
+// with `make fuzz-request-key`.
+func FuzzRequestKey(f *testing.F) {
+	f.Add(`{"experiment":"table1","archs":["zen2"],"trials":1}`,
+		`{"experiment":"table1","archs":["zen2","zen2"],"trials":1,"seed":1,"runs":7,"noise":0}`)
+	f.Add(`{"experiment":"table1","archs":["zen3"]}`,
+		`{"experiment":"table1","archs":["zen3"],"trials":6,"bits":3}`)
+	f.Add(`{"experiment":"table1","archs":["zen1"],"trials":2,"noise":0.5}`,
+		`{"experiment":"table1","archs":["zen1"],"trials":2,"noise":0.25}`)
+	f.Add(`{"experiment":"sls","archs":["zen4"],"seed":3}`,
+		`{"experiment":"sls","archs":["zen4","zen4"],"seed":3,"trials":5,"noise":0.5}`)
+	f.Add(`{"experiment":"sls","archs":["intel12"]}`,
+		`{"experiment":"sls","archs":["intel12"],"seed":2}`)
+	// Near misses: one field that changes the output differs, so the
+	// keys must differ too.
+	f.Add(`{"experiment":"table1","archs":["zen2"],"trials":1}`,
+		`{"experiment":"table1","archs":["zen2"],"trials":2}`)
+	f.Add(`{"experiment":"sls","archs":["zen1"]}`,
+		`{"experiment":"sls","archs":["intel9"]}`)
+	f.Fuzz(func(t *testing.T, a, b string) {
+		na, ok := cheapRequest(a)
+		if !ok {
+			return
+		}
+		nb, ok := cheapRequest(b)
+		if !ok || na.Key() != nb.Key() {
+			return
+		}
+		var outA, outB bytes.Buffer
+		if err := Execute(context.Background(), &outA, na, 1); err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		if err := Execute(context.Background(), &outB, nb, 1); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if !bytes.Equal(outA.Bytes(), outB.Bytes()) {
+			t.Fatalf("equal keys, different output:\n%s\n%s\n--- first\n%s--- second\n%s", a, b, &outA, &outB)
+		}
+	})
+}
+
+// cheapRequest decodes a request body as the server does and
+// normalizes it, accepting only the requests FuzzRequestKey can afford
+// to run: table1 or sls on one arch, with at most 6 trials and noise in
+// [0, 1].
+func cheapRequest(body string) (Request, bool) {
+	var r Request
+	if err := decodeStrict([]byte(body), &r); err != nil {
+		return Request{}, false
+	}
+	n, err := r.Normalize()
+	if err != nil || (n.Experiment != "table1" && n.Experiment != "sls") || len(n.Archs) != 1 {
+		return Request{}, false
+	}
+	return n, n.Trials <= 6 && n.Noise <= 1
 }

@@ -61,31 +61,12 @@ func newScheduler(workers, queueDepth int) *scheduler {
 // and must call the returned release exactly once, after the evaluation
 // finishes.
 func (s *scheduler) acquire(ctx context.Context) (release func(), err error) {
-	return s.admit(ctx, false)
-}
-
-// acquireInternal admits cluster-internal work — fan-out sub-jobs and
-// forwarded-request evaluations. It still occupies a worker slot, so
-// CPU stays bounded, but it never sheds load (the client request was
-// already admitted at the edge; rejecting its halves would turn
-// admission into an error after the fact) and never refuses during a
-// drain (the sub-job is part of the in-flight work the drain waits
-// for).
-func (s *scheduler) acquireInternal(ctx context.Context) (release func(), err error) {
-	return s.admit(ctx, true)
-}
-
-func (s *scheduler) admit(ctx context.Context, internal bool) (release func(), err error) {
-	if internal {
-		s.pending.Add(1)
-	} else {
-		if s.draining.Load() {
-			return nil, ErrDraining
-		}
-		if n := s.pending.Add(1); n > s.maxPending {
-			s.pending.Add(-1)
-			return nil, &BusyError{RetryAfter: s.retryAfter()}
-		}
+	if s.draining.Load() {
+		return nil, ErrDraining
+	}
+	if n := s.pending.Add(1); n > s.maxPending {
+		s.pending.Add(-1)
+		return nil, &BusyError{RetryAfter: s.retryAfter()}
 	}
 	select {
 	case s.slots <- struct{}{}:

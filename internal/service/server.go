@@ -10,12 +10,10 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"phantom/internal/cluster"
 	"phantom/internal/store"
 	"phantom/internal/telemetry"
 )
@@ -30,7 +28,8 @@ type Config struct {
 	// 0 = 2×Workers; negative = no queue (reject whenever all workers
 	// are busy).
 	QueueDepth int
-	// Jobs sizes each evaluation's internal sweep pool. The server runs
+	// Jobs sizes each evaluation's internal sweep pool, which runs a
+	// multi-arch request's arches in parallel too. The server runs
 	// up to Workers evaluations at once, so the default keeps the
 	// product near GOMAXPROCS instead of oversubscribing: 0 =
 	// max(1, GOMAXPROCS/Workers).
@@ -46,11 +45,6 @@ type Config struct {
 	// is written through, so a restarted server answers warm questions
 	// without re-simulation.
 	Store *store.Store
-	// Router, when non-nil and not Solo, shards the keyspace across
-	// peers: non-owned requests proxy to their owner (one hop), and
-	// separable multi-arch requests fan out per (arch) sub-request. A
-	// dead peer degrades to local computation, never to a client error.
-	Router *cluster.Router
 }
 
 func (c Config) withDefaults() Config {
@@ -97,11 +91,6 @@ type Result struct {
 	// SimMS is the wall-clock evaluation cost when this result was
 	// computed (not re-measured on cache hits).
 	SimMS float64 `json:"sim_ms"`
-	// Proxied reports the answer was computed by the owning peer and
-	// forwarded here; Fanout, when nonzero, is the number of per-arch
-	// sub-requests a separable request was decomposed into.
-	Proxied bool `json:"proxied,omitempty"`
-	Fanout  int  `json:"fanout,omitempty"`
 }
 
 // Stats counts server activity since start. All fields are atomic; read
@@ -117,13 +106,9 @@ type Stats struct {
 	RejectedBusy     atomic.Uint64
 	RejectedDraining atomic.Uint64
 	Errors           atomic.Uint64
-	// Distributed-tier counters: zero on a storeless single node.
-	StoreHits     atomic.Uint64 // cache misses answered from the durable store
-	StoreFills    atomic.Uint64 // locally computed results written through
-	Proxied       atomic.Uint64 // requests answered by their owning peer
-	ProxyFailures atomic.Uint64 // forwards that failed (dead or erroring peer)
-	DegradedLocal atomic.Uint64 // non-owned requests computed locally after a failed forward
-	FanoutJobs    atomic.Uint64 // per-arch sub-requests spawned by separable fan-out
+	// Durable-store counters: zero on a storeless server.
+	StoreHits  atomic.Uint64 // cache misses answered from the durable store
+	StoreFills atomic.Uint64 // computed results written through
 }
 
 // Server is the experiment-serving engine behind cmd/phantom-server:
@@ -136,7 +121,6 @@ type Server struct {
 	sched   *scheduler
 	stats   Stats
 	store   *store.Store
-	rtr     *cluster.Router
 
 	// exec renders one normalized request; Execute in production, a
 	// stub in tests that need slow or failing evaluations without
@@ -153,14 +137,9 @@ func NewServer(cfg Config) *Server {
 		flights: newFlightGroup(),
 		sched:   newScheduler(cfg.Workers, cfg.QueueDepth),
 		store:   cfg.Store,
-		rtr:     cfg.Router,
 		exec:    Execute,
 	}
 }
-
-// clustered reports whether the routing path is live: a router with
-// more than one peer. Solo and router-less servers skip it entirely.
-func (s *Server) clustered() bool { return s.rtr != nil && !s.rtr.Solo() }
 
 // Stats exposes the live counters (pointer: fields are atomics).
 func (s *Server) Stats() *Stats { return &s.stats }
@@ -189,19 +168,10 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.msg }
 
-// do answers one request: normalize, cache, coalesce, schedule,
-// evaluate. The returned Result is a private copy with the
-// response-specific Cached/Coalesced flags set.
+// do answers one request: normalize, then memory cache, durable store,
+// coalesce, schedule and evaluate. The returned Result is a private
+// copy with the response-specific Cached/Coalesced flags set.
 func (s *Server) do(ctx context.Context, req Request) (*Result, *apiError) {
-	return s.doRouted(ctx, req, false)
-}
-
-// doRouted is do with the cluster view: forwarded requests (the loop
-// guard header was present) always answer locally, so a request takes
-// at most one proxy hop. The lookup order is memory cache, durable
-// store, then — when clustered and not forwarded — fan-out or proxy,
-// and finally local evaluation.
-func (s *Server) doRouted(ctx context.Context, req Request, forwarded bool) (*Result, *apiError) {
 	s.stats.Requests.Add(1)
 	counter("serve_requests").Inc(0)
 	norm, err := req.Normalize()
@@ -212,30 +182,7 @@ func (s *Server) doRouted(ctx context.Context, req Request, forwarded bool) (*Re
 	if res, ok := s.lookup(key); ok {
 		return res, nil
 	}
-	if s.clustered() && !forwarded {
-		if e, _ := Lookup(norm.Experiment); e.separable && len(norm.Archs) > 1 {
-			res, shared, err := s.flights.Do(ctx, key, s.assemble(norm, key))
-			if shared {
-				s.stats.Coalesced.Add(1)
-				counter("serve_coalesced").Inc(0)
-			}
-			if err != nil {
-				return nil, s.mapError(err)
-			}
-			out := *res
-			out.Coalesced = shared
-			return &out, nil
-		}
-		if owner, local := s.rtr.Owner(key); !local {
-			if res, ok := s.proxy(ctx, norm, owner); ok {
-				return res, nil
-			}
-			s.stats.DegradedLocal.Add(1)
-			counter("serve_degraded_local").Inc(0)
-		}
-	}
-
-	res, shared, err := s.flights.Do(ctx, key, s.evaluate(norm, key, forwarded))
+	res, shared, err := s.flights.Do(ctx, key, s.evaluate(norm, key))
 	if shared {
 		s.stats.Coalesced.Add(1)
 		counter("serve_coalesced").Inc(0)
@@ -284,115 +231,7 @@ func (s *Server) lookup(key string) (*Result, bool) {
 	return &out, true
 }
 
-// proxy forwards a non-owned request to its owner and decodes the
-// answer. false means the caller should compute locally instead —
-// ShouldTry declined (peer known down), the forward failed, or the
-// reply did not decode. Proxied results are deliberately NOT cached or
-// stored here: each node's cache and store hold only the shard it
-// owns, so memory is partitioned rather than mirrored.
-func (s *Server) proxy(ctx context.Context, norm Request, owner cluster.Peer) (*Result, bool) {
-	if !s.rtr.ShouldTry(owner) {
-		return nil, false
-	}
-	body, err := json.Marshal(norm)
-	if err != nil {
-		return nil, false
-	}
-	// The owner runs under its own per-experiment deadline; double it
-	// here so a healthy-but-queued peer is not misread as dead, while a
-	// hung one cannot stall this request forever.
-	fctx, cancel := context.WithTimeout(ctx, 2*norm.Timeout(s.cfg.BaseTimeout))
-	defer cancel()
-	data, err := s.rtr.Forward(fctx, owner, body)
-	if err != nil {
-		s.stats.ProxyFailures.Add(1)
-		counter("serve_peer_failures").Inc(0)
-		return nil, false
-	}
-	res := new(Result)
-	if err := json.Unmarshal(data, res); err != nil {
-		s.stats.ProxyFailures.Add(1)
-		counter("serve_peer_failures").Inc(0)
-		return nil, false
-	}
-	s.stats.Proxied.Add(1)
-	counter("serve_proxied").Inc(0)
-	res.Proxied = true
-	return res, true
-}
-
-// assemble returns the flight function for a separable multi-arch
-// request: decompose into single-arch sub-requests, resolve each
-// against its owning peer concurrently, and concatenate the outputs in
-// canonical arch order — byte-identical to evaluating the whole
-// request on one node, because separable experiments render each arch
-// independently. The assembled parent is not cached: its per-arch
-// pieces are, on their owning nodes, which is where repeats hit.
-func (s *Server) assemble(norm Request, key string) func(context.Context) (*Result, error) {
-	return func(fctx context.Context) (*Result, error) {
-		n := len(norm.Archs)
-		s.stats.FanoutJobs.Add(uint64(n))
-		counter("serve_fanout_jobs").Add(0, uint64(n))
-		subs := make([]*Result, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i, arch := range norm.Archs {
-			wg.Add(1)
-			go func(i int, arch string) {
-				defer wg.Done()
-				sub := norm
-				sub.Archs = []string{arch}
-				subs[i], errs[i] = s.resolve(fctx, sub)
-			}(i, arch)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		var out strings.Builder
-		var simMS float64
-		for _, sub := range subs {
-			out.WriteString(sub.Output)
-			simMS += sub.SimMS
-		}
-		return &Result{
-			ID:         key,
-			Experiment: norm.Experiment,
-			Archs:      norm.Archs,
-			Seed:       norm.Seed,
-			Output:     out.String(),
-			SimMS:      simMS,
-			Fanout:     n,
-		}, nil
-	}
-}
-
-// resolve answers one single-arch fan-out sub-request: cache, store,
-// owner proxy, then local compute. Local compute uses internal
-// admission — the parent was admitted at the edge, so its pieces block
-// for a worker slot instead of being shed.
-func (s *Server) resolve(ctx context.Context, sub Request) (*Result, error) {
-	key := sub.Key()
-	if res, ok := s.lookup(key); ok {
-		return res, nil
-	}
-	if owner, local := s.rtr.Owner(key); !local {
-		if res, ok := s.proxy(ctx, sub, owner); ok {
-			return res, nil
-		}
-		s.stats.DegradedLocal.Add(1)
-		counter("serve_degraded_local").Inc(0)
-	}
-	res, _, err := s.flights.Do(ctx, key, s.evaluate(sub, key, true))
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// storePut writes a locally computed result through to the durable
+// storePut writes a computed result through to the durable
 // store and refreshes the store gauges.
 func (s *Server) storePut(key string, res *Result) {
 	if s.store == nil {
@@ -416,17 +255,10 @@ func (s *Server) storePut(key string, res *Result) {
 
 // evaluate returns the flight function for one normalized request: take
 // a scheduler slot, render under the per-experiment deadline, cache,
-// and write through to the durable store. internal marks cluster-
-// internal work (fan-out sub-jobs, forwarded requests), which blocks
-// for a slot instead of being shed — admission already happened at the
-// edge of the cluster.
-func (s *Server) evaluate(req Request, key string, internal bool) func(context.Context) (*Result, error) {
+// and write through to the durable store.
+func (s *Server) evaluate(req Request, key string) func(context.Context) (*Result, error) {
 	return func(fctx context.Context) (*Result, error) {
-		acquire := s.sched.acquire
-		if internal {
-			acquire = s.sched.acquireInternal
-		}
-		release, err := acquire(fctx)
+		release, err := s.sched.acquire(fctx)
 		if err != nil {
 			return nil, err
 		}
@@ -509,10 +341,6 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		body := map[string]any{"status": "ready"}
-		if s.rtr != nil {
-			body["node"] = s.rtr.Self().ID
-			body["peers"] = s.rtr.Health()
-		}
 		if s.sched.Draining() {
 			body["status"] = "draining"
 			writeJSON(w, http.StatusServiceUnavailable, body)
@@ -555,12 +383,9 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &apiError{status: http.StatusServiceUnavailable, msg: ErrDraining.Error(), retryAfter: time.Second})
 		return
 	}
-	// The loop guard: a request forwarded by a peer is answered locally
-	// no matter what this node's ring says, so proxying is single-hop.
-	forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
 	trimmed := bytes.TrimLeft(body, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '[' {
-		s.handleBatch(w, r, trimmed, forwarded)
+		s.handleBatch(w, r, trimmed)
 		return
 	}
 	var req Request
@@ -568,7 +393,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &apiError{status: http.StatusBadRequest, msg: err.Error()})
 		return
 	}
-	res, aerr := s.doRouted(r.Context(), req, forwarded)
+	res, aerr := s.do(r.Context(), req)
 	if aerr != nil {
 		writeError(w, aerr)
 		return
@@ -579,7 +404,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // handleBatch evaluates a JSON array of requests concurrently —
 // identical items coalesce onto one simulation — and responds 200 with
 // per-item results or errors in submission order.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, body []byte, forwarded bool) {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	var reqs []Request
 	if err := decodeStrict(body, &reqs); err != nil {
 		writeError(w, &apiError{status: http.StatusBadRequest, msg: err.Error()})
@@ -595,7 +420,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, body []byte
 		wg.Add(1)
 		go func(i int, req Request) {
 			defer wg.Done()
-			res, aerr := s.doRouted(r.Context(), req, forwarded)
+			res, aerr := s.do(r.Context(), req)
 			if aerr != nil {
 				items[i] = batchItem{Error: aerr.msg, Status: aerr.status, RetryAfterMS: aerr.retryAfter.Milliseconds()}
 				return

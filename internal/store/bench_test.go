@@ -7,8 +7,8 @@ import (
 
 // The store's unit economics: Put is one buffer build + pwrite, Get is
 // one index lookup + pread + CRC. Both are archived by `make
-// bench-cluster` so the persistence layer's overhead stays visible
-// next to the serving numbers it protects.
+// bench-store` so the persistence layer's overhead stays visible next
+// to the serving numbers it protects.
 
 // benchValue approximates a small rendered experiment result.
 var benchValue = make([]byte, 4096)

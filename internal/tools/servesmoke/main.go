@@ -15,13 +15,6 @@
 //     (verified via the serve_simulations counter on /metrics).
 //  6. SIGTERM drains: the process exits 0.
 //
-// With -cluster it instead boots a 3-node phantom-server fleet (static
-// -peers ring, per-node -store-dir) and drives the distributed-tier
-// contract: deterministic keyspace split, fan-out output byte-identical
-// to the CLI, single-hop proxying, dead-peer degradation with zero
-// client errors, and warm-store restart without re-simulation. See
-// `make cluster-smoke`.
-//
 // It is a plain Go program (not a shell script) so the smoke test has
 // no dependency on curl/jq and runs identically in CI and locally.
 package main
@@ -29,7 +22,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -56,17 +48,11 @@ const (
 var smokeArgs = []string{"table1", "-arch", "zen2", "-trials", "2"}
 
 func main() {
-	clusterMode := flag.Bool("cluster", false, "run the 3-node cluster smoke instead of the single-node one")
-	flag.Parse()
-	runFn, label := run, "servesmoke"
-	if *clusterMode {
-		runFn, label = runCluster, "clustersmoke"
-	}
-	if err := runFn(); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: FAIL: %v\n", label, err)
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "servesmoke: FAIL: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println(label + ": PASS")
+	fmt.Println("servesmoke: PASS")
 }
 
 // buildBinaries compiles the phantom CLI and phantom-server into dir

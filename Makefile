@@ -15,21 +15,14 @@ vet:
 # fifth binary): determinism, maporder, noperturb, ctxflow, lockcheck,
 # errflow, goleak, hotalloc, unusedignore. Exits 1 on any
 # finding, so a stray time.Now or unsorted map range fails the gate
-# before a parity test has to bisect it.
-#
-# The driver's result cache makes the warm run near-instant on an
-# unchanged tree. The cache key hashes package contents and import
-# chains but not the analyzer code itself, so the cache directory name
-# embeds a checksum of internal/analysis + cmd/phantom-vet: editing an
-# analyzer lands in a fresh directory instead of reusing stale results.
-VET_CACHE_KEY := $(shell cat internal/analysis/*.go cmd/phantom-vet/*.go | cksum | cut -d' ' -f1)
+# before a parity test has to bisect it. Imports load from the export
+# data in the go build cache, which `vet` (run first by `check`) warms.
 phantom-vet:
-	$(GO) run ./cmd/phantom-vet -v -cache-dir .phantom-vet-cache/$(VET_CACHE_KEY) ./...
+	$(GO) run ./cmd/phantom-vet -v ./...
 
-# The vet cache headline number: full-repo cold (empty cache) vs warm
-# (everything restored), archived as a dated test2json log like the
-# other bench targets. One iteration each — cold is seconds, and the
-# warm/cold ratio is the quantity of interest, not nanosecond jitter.
+# One full-tree phantom-vet run, archived as a dated test2json log like
+# the other bench targets. One iteration: the run is well under a
+# second once the build cache is warm.
 bench-vet:
 	$(GO) test -run '^$$' -bench 'BenchmarkVetWholeRepo' -benchtime=1x -json ./cmd/phantom-vet \
 		> BENCH_$$(date +%Y%m%d)_vet.json

@@ -2,45 +2,18 @@ package main
 
 import (
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
-// BenchmarkVetWholeRepo measures the driver's cache where it matters:
-// a full-suite run over the entire module. cold runs against an empty
-// cache directory every iteration (parse + type-check + analyze all
-// packages); warm fills the cache once and then re-runs against it
-// (hash files, restore every package, rebuild the call graph from
-// cached summaries). The warm/cold ratio is the number `make
-// phantom-vet` buys on an unchanged tree; `make bench-vet` archives
-// both as a dated BENCH_*_vet.json.
+// BenchmarkVetWholeRepo measures what `make phantom-vet` costs: a
+// full-suite run over the entire module, listing and loading every
+// package (imports from the go build cache's export data) and
+// analyzing them in dependency order. `make bench-vet` archives it as a
+// dated BENCH_*_vet.json.
 func BenchmarkVetWholeRepo(b *testing.B) {
-	vet := func(b *testing.B, cacheDir string) {
-		b.Helper()
-		if code := realMain([]string{"-cache-dir", cacheDir, "phantom/..."}, io.Discard, io.Discard); code != 0 {
+	for i := 0; i < b.N; i++ {
+		if code := realMain([]string{"phantom/..."}, io.Discard, io.Discard); code != 0 {
 			b.Fatalf("phantom-vet exited %d; the tree must be clean to benchmark it", code)
 		}
 	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			cacheDir := filepath.Join(b.TempDir(), "vetcache")
-			b.StartTimer()
-			vet(b, cacheDir)
-			b.StopTimer()
-			if err := os.RemoveAll(cacheDir); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cacheDir := filepath.Join(b.TempDir(), "vetcache")
-		vet(b, cacheDir) // fill
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			vet(b, cacheDir)
-		}
-	})
 }

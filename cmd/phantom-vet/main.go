@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	phantom-vet [-run names] [-list] [-v] [-cache-dir dir] [-fixture] packages...
+//	phantom-vet [-run names] [-list] [-v] [-fixture] packages...
 //
 // Packages use `go list` pattern syntax (./..., phantom/internal/...,
 // or plain directories). -run restricts the suite to a comma-separated
@@ -17,13 +17,10 @@
 // and runs the raw rules on it, ignoring Applies scopes — the CLI face
 // of the in-tree fixture harness, used by CI to pin seeded violations.
 //
-// -cache-dir enables the driver's on-disk result cache: packages whose
-// content (and whole import chain, and hot-set slice) is unchanged
-// since the last run are restored without being type-checked or
-// analyzed. The cache applies only to full-suite runs — a -run subset
-// always analyzes from scratch, so a cached full-suite result can
-// never be confused with a partial one. -v reports per-package cache
-// hits and per-analyzer wall time on stderr.
+// Every run loads the named packages (imports come from the export
+// data the go command keeps in its build cache) and analyzes them
+// serially in dependency order. -v reports the package count, load and
+// analyze wall time, and per-analyzer wall time on stderr.
 //
 // Exit codes follow the convention shared by every phantom binary:
 // 0 on success (no findings), 1 on runtime errors or findings, 2 on
@@ -52,24 +49,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "describe the analyzers and exit")
 	run := fs.String("run", "", "comma-separated subset of analyzers to run (default: all)")
-	fixture := fs.Bool("fixture", false, "treat arguments as fixture package directories and run the raw rules (ignores Applies scopes and the cache)")
-	verbose := fs.Bool("v", false, "report per-package timing and cache hits on stderr")
-	cacheDir := fs.String("cache-dir", "", "directory for the on-disk result cache (default: no cache)")
-	version := fs.Bool("V", false, "print version and exit (go vet -vettool handshake compatibility)")
+	fixture := fs.Bool("fixture", false, "treat arguments as fixture package directories and run the raw rules (ignores Applies scopes)")
+	verbose := fs.Bool("v", false, "report package count and load, analyze and per-analyzer wall time on stderr")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: phantom-vet [-run names] [-list] [-v] [-cache-dir dir] [-fixture] packages...\n")
+		fmt.Fprintf(stderr, "usage: phantom-vet [-run names] [-list] [-v] [-fixture] packages...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *version {
-		// The standalone driver is the supported mode (the build
-		// environment vendors no x/tools unitchecker); the flag exists
-		// so `phantom-vet -V=full` identifies itself instead of
-		// misparsing.
-		fmt.Fprintln(stdout, "phantom-vet version dev")
-		return 0
 	}
 	suite, err := selectAnalyzers(*run)
 	if err != nil {
@@ -90,25 +77,29 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *fixture {
 		// Fixture mode exercises the raw rules the way the test harness
 		// does: Applies scopes are ignored (testdata package paths never
-		// fall inside the real tree's scopes) and the cache stays out of
-		// the picture. CI uses this to pin each analyzer's seeded bad
-		// fixture to exit code 1.
+		// fall inside the real tree's scopes). CI uses this to pin each
+		// analyzer's seeded bad fixture to exit code 1.
 		return runFixtures(suite, fs.Args(), stdout, stderr)
 	}
-	opts := analysis.DriverOptions{CacheDir: *cacheDir}
-	if *run != "" && *cacheDir != "" {
-		// A -run subset must not populate (or consume) the cache: the
-		// stored diagnostics would reflect a partial suite.
-		opts.CacheDir = ""
-		fmt.Fprintln(stderr, "phantom-vet: -cache-dir ignored with -run (cache stores full-suite results only)")
-	}
-	diags, stats, err := analysis.RunDriver(suite, fs.Args(), opts)
+	start := time.Now()
+	pkgs, err := analysis.Load(fs.Args())
 	if err != nil {
 		fmt.Fprintf(stderr, "phantom-vet: %v\n", err)
 		return 1
 	}
+	loaded := time.Now()
+	perAnalyzer := make(map[string]time.Duration)
+	diags := analysis.Run(suite, pkgs, func(analyzer string, d time.Duration) {
+		perAnalyzer[analyzer] += d
+	})
 	if *verbose {
-		printStats(stderr, stats)
+		fmt.Fprintf(stderr, "phantom-vet: %d package(s), load %v, analyze %v\n",
+			len(pkgs), loaded.Sub(start).Round(time.Millisecond), time.Since(loaded).Round(time.Millisecond))
+		for _, a := range suite {
+			if d, ok := perAnalyzer[a.Name]; ok {
+				fmt.Fprintf(stderr, "  analyzer %-12s %v\n", a.Name, d.Round(time.Millisecond))
+			}
+		}
 	}
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
@@ -144,24 +135,6 @@ func runFixtures(suite []*analysis.Analyzer, dirs []string, stdout, stderr io.Wr
 		return 1
 	}
 	return 0
-}
-
-// printStats renders the -v report: cache effectiveness, then the
-// per-package and per-analyzer wall-time breakdowns.
-func printStats(w io.Writer, stats *analysis.DriverStats) {
-	fmt.Fprintf(w, "phantom-vet: %d package(s), %d cache hit(s), %d analyzed, wall %v\n",
-		stats.Packages, stats.CacheHits, stats.CacheMisses, stats.Wall.Round(time.Millisecond))
-	for _, ps := range stats.PerPackage {
-		if ps.CacheHit {
-			fmt.Fprintf(w, "  %-40s cache hit\n", ps.Path)
-			continue
-		}
-		fmt.Fprintf(w, "  %-40s load %v, analyze %v\n", ps.Path,
-			ps.Load.Round(time.Millisecond), ps.Analyze.Round(time.Millisecond))
-	}
-	for _, as := range stats.PerAnalyzer {
-		fmt.Fprintf(w, "  analyzer %-12s %v\n", as.Name, as.Wall.Round(time.Millisecond))
-	}
 }
 
 // selectAnalyzers resolves a -run list against the suite. An empty

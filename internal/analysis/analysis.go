@@ -44,7 +44,7 @@ type Analyzer struct {
 	Doc string
 
 	// Applies reports whether the analyzer's invariant covers the
-	// given package path and file. The driver consults it for real
+	// given package path and file. Run consults it for real
 	// packages; the fixture harness ignores it so testdata can
 	// exercise the raw rule. A nil Applies means "everywhere".
 	Applies func(pkgPath, filename string) bool
@@ -55,8 +55,8 @@ type Analyzer struct {
 
 // A Pass carries one package's syntax and type information through an
 // Analyzer.Run invocation, plus the flow engine's shared state: lazy
-// per-function CFGs, the cross-package fact store, and the hot set the
-// driver derived from the whole-repo call graph.
+// per-function CFGs, the cross-package fact store, and the hot set Run
+// derived from the whole-repo call graph.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -65,7 +65,7 @@ type Pass struct {
 	Info     *types.Info
 
 	// Facts exposes the exported facts of already-analyzed packages
-	// (dependencies, under the driver's ordering). Nil in isolated
+	// (dependencies, under Run's ordering). Nil in isolated
 	// fixture runs.
 	Facts *FactStore
 
@@ -300,12 +300,12 @@ func sortDiagnostics(ds []Diagnostic) {
 
 // Run applies every analyzer in the suite to every package with full
 // cross-package fact propagation and hot-set derivation, and returns
-// the combined findings sorted by position. It is the serial reference
-// pipeline: summaries first (so the whole-repo call graph and hot set
-// exist before any checking analyzer runs), then per-package analysis
-// in dependency order (so facts only ever flow along the import DAG).
-// The parallel, cached driver (driver.go) produces identical output.
-func Run(suite []*Analyzer, pkgs []*Package) []Diagnostic {
+// the combined findings sorted by position. It is serial: summaries
+// first (so the whole-repo call graph and hot set exist before any
+// checking analyzer runs), then per-package analysis in dependency
+// order (so facts only ever flow along the import DAG). timing, when
+// non-nil, receives each analyzer's wall time on each package.
+func Run(suite []*Analyzer, pkgs []*Package, timing func(analyzer string, d time.Duration)) []Diagnostic {
 	ordered := topoSort(pkgs)
 	facts := NewFactStore()
 	summaries := make(map[string]*PackageFacts, len(ordered))
@@ -315,7 +315,7 @@ func Run(suite []*Analyzer, pkgs []*Package) []Diagnostic {
 	hot := BuildCallGraph(summaries).Reachable(HotRoots)
 	var out []Diagnostic
 	for _, pkg := range ordered {
-		diags, _ := AnalyzePackage(suite, pkg, facts, summaries[pkg.PkgPath], hotIn(hot, summaries[pkg.PkgPath]), nil)
+		diags := AnalyzePackage(suite, pkg, facts, summaries[pkg.PkgPath], hotIn(hot, summaries[pkg.PkgPath]), timing)
 		out = append(out, diags...)
 	}
 	sortDiagnostics(out)
@@ -338,10 +338,9 @@ func hotIn(hot map[string]bool, summary *PackageFacts) map[string]bool {
 // analyzers (with dep facts and the package's hot set), suppression
 // filtering, and — when the suite includes unusedignore — the dead-
 // suppression check over everything that ran. The package's exported
-// facts land in facts (seeded with summary) for its importers, and in
-// the returned PackageFacts for the driver's cache. timing, when
-// non-nil, receives per-analyzer wall time.
-func AnalyzePackage(suite []*Analyzer, pkg *Package, facts *FactStore, summary *PackageFacts, hot map[string]bool, timing func(analyzer string, d time.Duration)) ([]Diagnostic, *PackageFacts) {
+// facts land in facts (seeded with summary) for its importers. timing,
+// when non-nil, receives per-analyzer wall time.
+func AnalyzePackage(suite []*Analyzer, pkg *Package, facts *FactStore, summary *PackageFacts, hot map[string]bool, timing func(analyzer string, d time.Duration)) []Diagnostic {
 	if summary == nil {
 		summary = summarizePackage(pkg)
 	}
@@ -372,7 +371,7 @@ func AnalyzePackage(suite []*Analyzer, pkg *Package, facts *FactStore, summary *
 		facts.Set(pkg.PkgPath, own)
 	}
 	sortDiagnostics(out)
-	return out, own
+	return out
 }
 
 // topoSort orders packages so that every package follows the packages

@@ -2,11 +2,12 @@ package analysis
 
 import (
 	"fmt"
-	"go/importer"
+	"go/ast"
 	"go/token"
 	"go/types"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -76,8 +77,12 @@ func AnalyzeDir(a *Analyzer, dir string) ([]Diagnostic, *token.FileSet, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	imp, err := fixtureImporter(fset, dir, files)
+	if err != nil {
+		return nil, nil, err
+	}
 	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(name, fset, files, info)
 	if err != nil {
 		return nil, nil, fmt.Errorf("type checking: %v", err)
@@ -88,7 +93,7 @@ func AnalyzeDir(a *Analyzer, dir string) ([]Diagnostic, *token.FileSet, error) {
 		// a directive is unused only if the analyzer it names ran and
 		// stayed silent. Its fixtures therefore run everything and
 		// report only the unusedignore findings.
-		all, _ := AnalyzePackage(Suite(), pkg, nil, nil, nil, nil)
+		all := AnalyzePackage(Suite(), pkg, nil, nil, nil, nil)
 		var out []Diagnostic
 		for _, d := range all {
 			if d.Analyzer == UnusedIgnore.Name {
@@ -98,6 +103,30 @@ func AnalyzeDir(a *Analyzer, dir string) ([]Diagnostic, *token.FileSet, error) {
 		return out, fset, nil
 	}
 	return runOne(a, pkg, false, nil, nil, newPackageFacts(), nil), fset, nil
+}
+
+// fixtureImporter lists the fixture's imports (run from dir, so they
+// resolve in its module) and returns an importer over their export
+// data, the same one Load uses.
+func fixtureImporter(fset *token.FileSet, dir string, files []*ast.File) (types.Importer, error) {
+	var paths []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return nil, err
+			}
+			paths = append(paths, path)
+		}
+	}
+	var listed []listedPackage
+	if len(paths) > 0 {
+		var err error
+		if listed, err = goList(dir, paths); err != nil {
+			return nil, err
+		}
+	}
+	return exportImporter(fset, listed), nil
 }
 
 // parseExpectations re-reads the fixture's comments for want

@@ -9,10 +9,8 @@ import (
 // callgraph.go extracts per-package static call summaries and
 // assembles them into the whole-repo call graph. The summary is a
 // fact (facts.go): each package exports the out-edges of its
-// functions, and the driver — which sees every package's summary,
-// cached or fresh — computes reachability over the union. That split
-// is what lets a warm run rebuild the global graph without
-// type-checking a single unchanged package.
+// functions, and Run — which sees every package's summary before any
+// checking analyzer starts — computes reachability over the union.
 //
 // Resolution is static and conservative: direct calls and method
 // calls whose callee the type-checker resolved to a concrete

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -51,27 +49,17 @@ func TestFactStoreRoundTrip(t *testing.T) {
 // discards Persist's error, which only errflow-with-facts can see.
 func writePhantomShadowModule(t *testing.T) string {
 	t.Helper()
-	root := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		path := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module phantom\n\ngo 1.21\n")
-	write("internal/store/store.go", `package store
+	return writeModule(t, map[string]string{
+		"go.mod": "module phantom\n\ngo 1.21\n",
+		"internal/store/store.go": `package store
 
 import "os"
 
 func Persist(f *os.File) error {
 	return f.Sync()
 }
-`)
-	write("internal/service/service.go", `package service
+`,
+		"internal/service/service.go": `package service
 
 import (
 	"os"
@@ -82,8 +70,8 @@ import (
 func Checkpoint(f *os.File) {
 	store.Persist(f)
 }
-`)
-	return root
+`,
+	})
 }
 
 func TestCrossPackageDurableFacts(t *testing.T) {
@@ -92,7 +80,7 @@ func TestCrossPackageDurableFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(Suite(), pkgs)
+	diags := Run(Suite(), pkgs, nil)
 	var found bool
 	for _, d := range diags {
 		if d.Analyzer == "errflow" && strings.Contains(d.Message, "Persist discards its error") {
@@ -105,50 +93,4 @@ func TestCrossPackageDurableFacts(t *testing.T) {
 	if !found {
 		t.Fatalf("no errflow finding for the cross-package durable discard; got: %v", diags)
 	}
-}
-
-// TestCachedFactsFlowToInvalidatedImporter is the reason cache entries
-// persist facts at all: after a warm fill, only the importer (service)
-// is edited. store must be restored from cache — unparsed, unchecked —
-// and its Durable fact must still reach service's fresh analysis.
-func TestCachedFactsFlowToInvalidatedImporter(t *testing.T) {
-	root := writePhantomShadowModule(t)
-	inDir(t, root)
-	cacheDir := filepath.Join(t.TempDir(), "vetcache")
-
-	run := func() ([]Diagnostic, *DriverStats) {
-		t.Helper()
-		diags, stats, err := RunDriver(Suite(), []string{"./..."}, DriverOptions{CacheDir: cacheDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return diags, stats
-	}
-	cold, _ := run()
-
-	// Touch only the importer.
-	src := filepath.Join(root, "internal", "service", "service.go")
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(src, append(data, []byte("\nfunc unrelated() {}\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	warm, stats := run()
-	if stats.CacheHits != 1 || stats.CacheMisses != 1 {
-		t.Fatalf("after editing service: hits=%d misses=%d, want 1/1 (store cached, service re-analyzed)", stats.CacheHits, stats.CacheMisses)
-	}
-	assertDurableFinding := func(diags []Diagnostic, label string) {
-		t.Helper()
-		for _, d := range diags {
-			if d.Analyzer == "errflow" && strings.Contains(d.Message, "Persist discards its error") {
-				return
-			}
-		}
-		t.Fatalf("%s run lost the cross-package durable finding: %v", label, diags)
-	}
-	assertDurableFinding(cold, "cold")
-	assertDurableFinding(warm, "warm")
 }

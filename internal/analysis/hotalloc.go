@@ -22,7 +22,7 @@ var HotRoots = []string{
 // HotAlloc forbids heap allocation in any function the whole-repo call
 // graph marks reachable from the hot roots.
 //
-// The driver computes the set of functions reachable from HotRoots
+// Run computes the set of functions reachable from HotRoots
 // across the repo (callgraph.go facts) and this analyzer flags the
 // allocating shapes inside them — address-of composite literal (the
 // &Fault{} a missed probe must never build: Faults pass by value),
@@ -75,7 +75,7 @@ func runHotAlloc(pass *Pass) {
 	}
 }
 
-// hotFuncs returns the hot set for this package: the driver's global
+// hotFuncs returns the hot set for this package: Run's global
 // reachability (pass.Hot) unioned with intra-package reachability from
 // local roots. Local roots are HotRoots declared here plus any
 // function annotated `//phantomvet:hotroot` — the escape hatch fixture

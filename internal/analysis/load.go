@@ -5,26 +5,28 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 )
 
-// listedPackage is the subset of `go list -json` output the loader
-// needs. Imports feeds the driver's dependency ordering and content
-// chain hashes; it costs nothing extra to list.
+// listedPackage is the subset of `go list -deps -export -json` output
+// the loader needs. Export names the compiled export-data file the go
+// command keeps in its build cache; DepOnly marks packages listed only
+// because something in the vetted set imports them.
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	GoFiles    []string
-	Imports    []string
+	Export     string
+	DepOnly    bool
 }
 
 // Load expands the given `go list` patterns (./..., package paths, or
@@ -33,26 +35,19 @@ type listedPackage struct {
 // phantom-vet enforces are about what ships in the simulator, and
 // tests legitimately use time.Now, os.Stdout capture, etc.
 //
-// Type information is resolved with the standard library's "source"
-// importer, so the loader needs no compiled export data and no
-// third-party machinery — only the go toolchain for pattern
-// expansion. Cgo is disabled for the build context: the net/os
-// packages type-check via their pure-Go fallbacks, which is all the
-// analyzers need.
+// Imports resolve from the export data the go command compiled (or
+// found in its build cache) while listing, so a load costs one `go
+// list` plus one type-check per vetted package.
 func Load(patterns []string) ([]*Package, error) {
-	listed, err := goList(patterns)
+	listed, err := goList("", patterns)
 	if err != nil {
 		return nil, err
 	}
-	// One file set and one importer across all packages: the source
-	// importer caches each stdlib package it type-checks, which is
-	// what keeps a ./... run to seconds rather than minutes.
-	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := exportImporter(fset, listed)
 	var pkgs []*Package
 	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
+		if lp.DepOnly || len(lp.GoFiles) == 0 {
 			continue
 		}
 		pkg, err := checkPackage(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
@@ -64,13 +59,15 @@ func Load(patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// goList shells out to `go list -json` for pattern expansion — the one
-// part of package loading not worth reimplementing, since build
-// constraints, module resolution, and pattern syntax all live in the
-// go command.
-func goList(patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=Dir,ImportPath,Name,GoFiles,Imports", "--"}, patterns...)
+// goList runs `go list -deps -export -json` in dir (the current
+// directory when empty) — the one part of package loading not worth
+// reimplementing, since build constraints, module resolution, pattern
+// syntax and compiling export data all live in the go command. The
+// output lists every dependency before its importers.
+func goList(dir string, patterns []string) ([]listedPackage, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=Dir,ImportPath,GoFiles,Export,DepOnly", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -93,19 +90,27 @@ func goList(patterns []string) ([]listedPackage, error) {
 	return out, nil
 }
 
-// checkPackage parses and type-checks one package's files.
-func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
-	files, err := parseFiles(fset, pkgPath, dir, goFiles)
-	if err != nil {
-		return nil, err
+// exportImporter resolves imports from the export data files of the
+// listed packages. The importer caches each package it reads, so one
+// importer serves a whole load.
+func exportImporter(fset *token.FileSet, listed []listedPackage) types.Importer {
+	exports := make(map[string]string, len(listed))
+	for _, lp := range listed {
+		if lp.Export != "" {
+			exports[lp.ImportPath] = lp.Export
+		}
 	}
-	return typeCheck(fset, imp, pkgPath, files)
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 }
 
-// parseFiles parses one package's files. A token.FileSet is safe for
-// concurrent use, so the driver runs this phase in parallel across
-// packages.
-func parseFiles(fset *token.FileSet, pkgPath, dir string, goFiles []string) ([]*ast.File, error) {
+// checkPackage parses and type-checks one package's files.
+func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
 	files := make([]*ast.File, 0, len(goFiles))
 	for _, name := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -114,14 +119,6 @@ func parseFiles(fset *token.FileSet, pkgPath, dir string, goFiles []string) ([]*
 		}
 		files = append(files, f)
 	}
-	return files, nil
-}
-
-// typeCheck resolves types for already-parsed files. The shared source
-// importer mutates its internal cache, so callers that type-check from
-// multiple goroutines must serialize calls (the driver holds a mutex
-// here; Load is serial).
-func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath string, files []*ast.File) (*Package, error) {
 	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
@@ -142,8 +139,9 @@ func newInfo() *types.Info {
 }
 
 // parseDir parses every non-test .go file of the single package in
-// dir, for the fixture harness (which bypasses `go list` because
-// testdata is invisible to ./... patterns on purpose).
+// dir, for the fixture harness (which bypasses `go list` for the
+// fixture itself because testdata is invisible to ./... patterns on
+// purpose).
 func parseDir(fset *token.FileSet, dir string) (name string, files []*ast.File, err error) {
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !isTestFile(fi.Name())

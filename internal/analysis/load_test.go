@@ -9,7 +9,7 @@ import (
 )
 
 // TestLoadTypeChecksModulePackage loads a real module package through
-// the go list + source-importer pipeline and sanity-checks the result
+// the go list + export-data pipeline and sanity-checks the result
 // carries syntax, types, and resolved uses.
 func TestLoadTypeChecksModulePackage(t *testing.T) {
 	pkgs, err := Load([]string{"phantom/internal/gf2"})
@@ -41,17 +41,106 @@ func TestLoadTypeChecksModulePackage(t *testing.T) {
 }
 
 // TestLoadRunsSuiteOnIntraModuleImports loads a package that imports
-// other module packages (sweep imports telemetry), exercising the
-// source importer's module resolution.
+// other module packages (sweep imports telemetry), whose types come
+// from the export data `go list -export` names.
 func TestLoadRunsSuiteOnIntraModuleImports(t *testing.T) {
 	pkgs, err := Load([]string{"phantom/internal/sweep"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(Suite(), pkgs)
+	diags := Run(Suite(), pkgs, nil)
 	for _, d := range diags {
 		t.Errorf("clean package produced: %s", d)
 	}
+}
+
+// writeModule lays out a throwaway module from relative path →
+// content and returns its root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for rel, content := range files {
+		writeFile(t, filepath.Join(root, rel), content)
+	}
+	return root
+}
+
+func writeFile(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func appendFile(t *testing.T, path, content string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, path, string(data)+content)
+}
+
+// inDir chdirs into dir for the duration of the test. Tests that use
+// it share the process working directory, so none of them may run in
+// parallel.
+func inDir(t *testing.T, dir string) {
+	t.Helper()
+	old, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(old); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestLoadSeesDependencyEdit pins that a second load sees an edit to a
+// dependency: the importer's types come from export data, and the go
+// command must rebuild it rather than serve the stale copy. A new
+// exported durable op in store, discarded by service, must type-check
+// and surface as a cross-package errflow finding.
+func TestLoadSeesDependencyEdit(t *testing.T) {
+	root := writePhantomShadowModule(t)
+	inDir(t, root)
+	load := func() []Diagnostic {
+		t.Helper()
+		pkgs, err := Load([]string{"./..."})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Run(Suite(), pkgs, nil)
+	}
+	for _, d := range load() {
+		if strings.Contains(d.Message, "Flush") {
+			t.Fatalf("finding about Flush before it exists: %s", d)
+		}
+	}
+
+	appendFile(t, filepath.Join(root, "internal/store/store.go"), `
+func Flush(f *os.File) error {
+	return f.Sync()
+}
+`)
+	appendFile(t, filepath.Join(root, "internal/service/service.go"), `
+func Drain(f *os.File) {
+	store.Flush(f)
+}
+`)
+	for _, d := range load() {
+		if d.Analyzer == "errflow" && strings.Contains(d.Message, "Flush discards its error") {
+			return
+		}
+	}
+	t.Fatal("second load did not report the discarded error of the new store.Flush")
 }
 
 func TestLoadBadPattern(t *testing.T) {
@@ -65,22 +154,12 @@ func TestLoadBadPattern(t *testing.T) {
 // directory with no Go files at all.
 func writeLoadErrorModule(t *testing.T) string {
 	t.Helper()
-	root := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		path := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module loaderr.test\n\ngo 1.21\n")
-	write("syntax/syntax.go", "package syntax\n\nfunc broken( {}\n")
-	write("badimport/badimport.go", "package badimport\n\nimport \"no/such/module/anywhere\"\n\nvar _ = anywhere.X\n")
-	write("empty/README.txt", "no Go files here\n")
-	return root
+	return writeModule(t, map[string]string{
+		"go.mod":                 "module loaderr.test\n\ngo 1.21\n",
+		"syntax/syntax.go":       "package syntax\n\nfunc broken( {}\n",
+		"badimport/badimport.go": "package badimport\n\nimport \"no/such/module/anywhere\"\n\nvar _ = anywhere.X\n",
+		"empty/README.txt":       "no Go files here\n",
+	})
 }
 
 // TestLoadUnparsableFile pins that a syntax error surfaces as a Load
@@ -96,15 +175,15 @@ func TestLoadUnparsableFile(t *testing.T) {
 	}
 }
 
-// TestLoadMissingImport pins the type-check error path: an import the
-// source importer cannot resolve fails the load with a type-checking
-// error rather than producing a half-typed package the analyzers
-// would mis-judge.
+// TestLoadMissingImport pins the unresolvable-import path: an import
+// nothing provides fails the load with an error naming the package
+// rather than producing a half-typed package the analyzers would
+// mis-judge.
 func TestLoadMissingImport(t *testing.T) {
 	inDir(t, writeLoadErrorModule(t))
 	_, err := Load([]string{"./badimport"})
 	if err == nil {
-		t.Fatal("expected a type-check error")
+		t.Fatal("expected a load error")
 	}
 	if !strings.Contains(err.Error(), "badimport") {
 		t.Errorf("error does not name the package: %v", err)
